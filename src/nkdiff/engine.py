@@ -100,7 +100,7 @@ class ExperimentConfig:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker-thread cap: explicit arg, else NKDIFF_THREADS, else cpu count."""
+    """Worker-thread cap: explicit arg, else NKDIFF_THREADS, else CPUs this process may use."""
     if threads is not None:
         if threads < 1:
             raise ConfigurationError("thread count must be positive")
@@ -114,6 +114,8 @@ def resolve_threads(threads: int | None = None) -> int:
         if value < 1:
             raise ConfigurationError(f"{THREADS_ENV_VAR} must be positive, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

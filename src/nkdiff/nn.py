@@ -51,6 +51,13 @@ class ModelSpec:
             raise ValueError(f"unsupported activation {self.activation!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # Per layer: (W start, b start, b end, W shape) in the flat vector.
+        layout, start = [], 0
+        for wi, wo in zip(widths[:-1], widths[1:]):
+            layout.append((start, start + wi * wo, start + wi * wo + wo, (wi, wo)))
+            start += wi * wo + wo
+        object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_n_params", start)
 
     @property
     def input_dim(self) -> int:
@@ -101,8 +108,7 @@ class Learner:
 
 def param_count(spec: ModelSpec) -> int:
     """Total parameters: sum of w_in * w_out + w_out over layers."""
-    widths = spec.layer_widths
-    return sum(wi * wo + wo for wi, wo in zip(widths[:-1], widths[1:]))
+    return spec._n_params
 
 
 def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -111,20 +117,14 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     Views share memory with ``params``; layer l holds W of shape
     (w_l, w_{l+1}) in row-major order, then b of shape (w_{l+1},).
     """
-    if params.shape != (param_count(spec),):
+    if params.shape != (spec._n_params,):
         raise ValueError(
-            f"expected flat vector of {param_count(spec)} parameters, got shape {params.shape}"
+            f"expected flat vector of {spec._n_params} parameters, got shape {params.shape}"
         )
-    views = []
-    offset = 0
-    widths = spec.layer_widths
-    for wi, wo in zip(widths[:-1], widths[1:]):
-        w = params[offset : offset + wi * wo].reshape(wi, wo)
-        offset += wi * wo
-        b = params[offset : offset + wo]
-        offset += wo
-        views.append((w, b))
-    return views
+    return [
+        (params[w_start:b_start].reshape(shape), params[b_start:b_end])
+        for w_start, b_start, b_end, shape in spec._layout
+    ]
 
 
 def init_learner(
@@ -161,14 +161,20 @@ def init_learner(
     )
 
 
-def _logits(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    a = X
-    views = unpack_params(spec, params)
-    last = len(views) - 1
-    for i, (w, b) in enumerate(views):
-        z = a @ w + b
-        a = np.maximum(z, 0.0) if i < last else z
-    return a
+def _activations(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray) -> list[np.ndarray]:
+    """Forward pass: [X, hidden activations..., logits], all but X fresh arrays.
+
+    ReLU runs in place: backprop needs only where z > 0, and relu(z) > 0 there.
+    """
+    acts = [X]
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        a = acts[-1] @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
 def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
@@ -183,15 +189,15 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected rows of width {learner.spec.input_dim}, got shape {X.shape}"
         )
-    z = _logits(learner.spec, learner.params, X)
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    p = np.maximum(p, PROB_FLOOR)
-    p /= p.sum(axis=1, keepdims=True)
+    p = _activations(unpack_params(learner.spec, learner.params), X)[-1]
+    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=1, keepdims=True)
+    np.maximum(p, PROB_FLOOR, out=p)
+    p /= np.add.reduce(p, axis=1, keepdims=True)
     # Renormalization can nudge a floored entry below the floor again;
     # the final clamp restores it while moving the row sum by < K*floor.
-    return np.maximum(p, PROB_FLOOR)
+    return np.maximum(p, PROB_FLOOR, out=p)
 
 
 def forward(learner: Learner, x: np.ndarray) -> np.ndarray:
@@ -241,39 +247,30 @@ def loss_and_gradient(
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    views = unpack_params(spec, params)
-    last = len(views) - 1
+    layers = unpack_params(spec, params)
+    acts = _activations(layers, X)
 
-    activations = [X]
-    pre = []
-    a = X
-    for i, (w, b) in enumerate(views):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
-        activations.append(a)
-
-    logits = activations[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
+    # Stable log-softmax, computed in place over the logits.
+    log_probs = acts.pop()
+    log_probs -= np.maximum.reduce(log_probs, axis=1, keepdims=True)
+    log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
     n = len(X)
     rows = np.arange(n)
-    loss = float(-log_probs[rows, labels].mean())
+    loss = float(-(np.add.reduce(log_probs[rows, labels]) / n))
 
-    delta = np.exp(log_probs)
+    delta = np.exp(log_probs, out=log_probs)
     delta[rows, labels] -= 1.0
     delta /= n
 
     grad = np.empty_like(params)
-    grad_views = unpack_params(spec, grad)
-    for i in range(last, -1, -1):
-        w, _ = views[i]
-        gw, gb = grad_views[i]
-        gw[...] = activations[i].T @ delta
-        gb[...] = delta.sum(axis=0)
+    grads = unpack_params(spec, grad)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = (delta @ w.T) * (pre[i - 1] > 0.0)
+            delta = delta @ layers[i][0].T
+            delta *= acts[i] > 0.0
     return loss, grad
 
 
@@ -303,6 +300,7 @@ def train_epoch(
     for start in range(0, n, hp.batch_size):
         idx = order[start : start + hp.batch_size]
         loss, grad = loss_and_gradient(learner.spec, learner.params, X[idx], labels[idx])
-        learner.params -= hp.learning_rate * grad
+        grad *= hp.learning_rate
+        learner.params -= grad
         total += loss * len(idx)
     return SessionStats(mean_loss=total / n, forward_ops=n)

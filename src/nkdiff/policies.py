@@ -22,7 +22,6 @@ import numpy as np
 from .population import RankedList, ValidationScores
 
 POLICIES = ("oo", "pom", "rgbt", "btb", "eq")
-COORDINATED_POLICIES = ("rgbt", "btb", "eq")
 
 
 class ConfigurationError(ValueError):

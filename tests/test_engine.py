@@ -1,6 +1,7 @@
 """Unit tests for round execution, accounting and experiment determinism."""
 
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nkdiff import (
     init_learner,
     init_population,
     prepare_data,
+    resolve_threads,
     run_experiment,
     run_round,
     run_session,
@@ -178,6 +180,26 @@ class TestExperimentConfig:
         )
         with pytest.raises(ConfigurationError):
             run_experiment(cfg, threads=1)
+
+
+class TestResolveThreads:
+    def test_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("NKDIFF_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_threads() == 1
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("NKDIFF_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_threads() == 3
+
+    def test_explicit_and_env_override_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setenv("NKDIFF_THREADS", "2")
+        assert resolve_threads() == 2
+        assert resolve_threads(3) == 3
 
 
 class TestRunExperiment:
