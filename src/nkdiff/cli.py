@@ -64,6 +64,10 @@ DEFAULT_CONFIG: dict = {
 
 SWEEP_AXES = ("policies", "capacities", "pretraining", "noise_levels")
 
+# Keys whose values must be JSON booleans or JSON integers (never booleans).
+BOOL_KEYS = ("pretrain", "random_labels", "shuffle")
+INT_KEYS = ("n", "c", "rounds", "seeds", "master_seed", "noise_seed", "batch_size")
+
 
 @dataclass
 class RunManifest:
@@ -133,19 +137,37 @@ def _check_keys(config: dict, allowed: set[str], context: str) -> None:
         raise ConfigurationError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(config: dict) -> None:
+    """Require JSON booleans and integers where Python would coerce silently."""
+    for key in BOOL_KEYS:
+        if not isinstance(config[key], bool):
+            raise ConfigurationError(f"{key} must be true or false, got {config[key]!r}")
+    for key in INT_KEYS:
+        if not _is_int(config[key]):
+            raise ConfigurationError(f"{key} must be an integer, got {config[key]!r}")
+    widths = config["hidden_widths"]
+    if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
+        raise ConfigurationError(f"hidden_widths must be a list of integers, got {widths!r}")
+
+
 def build_experiment_config(config: dict, master_seed: int) -> ExperimentConfig:
     """Translate one resolved config dict into an ExperimentConfig."""
     _check_keys(config, set(DEFAULT_CONFIG) | set(SWEEP_AXES) | {"out"}, "config")
+    _check_types(config)
     try:
         noise = float(config["noise"])
-        random_labels = bool(config["random_labels"])
+        random_labels = config["random_labels"]
         if noise and random_labels:
             raise ConfigurationError("noise and random_labels are mutually exclusive")
         corruption = None
         if random_labels:
-            corruption = CorruptionSpec(fraction=1.0, mode="full_random", seed=int(config["noise_seed"]))
+            corruption = CorruptionSpec(fraction=1.0, mode="full_random", seed=config["noise_seed"])
         elif noise > 0.0:
-            corruption = CorruptionSpec(fraction=noise, mode="uniform_replace", seed=int(config["noise_seed"]))
+            corruption = CorruptionSpec(fraction=noise, mode="uniform_replace", seed=config["noise_seed"])
 
         if config["dataset"] == "blobs":
             dataset = BlobsSpec(**config["blobs"])
@@ -158,15 +180,15 @@ def build_experiment_config(config: dict, master_seed: int) -> ExperimentConfig:
 
         return ExperimentConfig(
             policy=str(config["policy"]).lower(),
-            n_models=int(config["n"]),
-            capacity=int(config["c"]),
-            rounds=int(config["rounds"]),
-            pretrain=bool(config["pretrain"]),
-            hidden_widths=tuple(int(w) for w in config["hidden_widths"]),
+            n_models=config["n"],
+            capacity=config["c"],
+            rounds=config["rounds"],
+            pretrain=config["pretrain"],
+            hidden_widths=tuple(config["hidden_widths"]),
             hyperparams=TrainHyperparams(
                 learning_rate=float(config["learning_rate"]),
-                batch_size=int(config["batch_size"]),
-                shuffle=bool(config["shuffle"]),
+                batch_size=config["batch_size"],
+                shuffle=config["shuffle"],
             ),
             dataset=dataset,
             corruption=corruption,
@@ -226,11 +248,10 @@ def format_agg_csv(runs: list[list[MetricsRecord]]) -> str:
 
 def execute_run(config: dict, out_dir: Path) -> list[list[MetricsRecord]]:
     """Run every seed of a resolved config and write its output directory."""
-    n_seeds = int(config["seeds"])
-    if n_seeds < 1:
+    _check_types(config)
+    if config["seeds"] < 1:
         raise ConfigurationError("seeds must be at least 1")
-    base = int(config["master_seed"])
-    seeds = [base + i for i in range(n_seeds)]
+    seeds = [config["master_seed"] + i for i in range(config["seeds"])]
     # Validate before any training or I/O.
     experiment_cfgs = [build_experiment_config(config, seed) for seed in seeds]
 
@@ -272,9 +293,11 @@ def cmd_sweep(config: dict) -> int:
         if axis in config and not config[axis]:
             raise ConfigurationError(f"sweep axis {axis!r} is empty")
     policies = [str(p).lower() for p in config.get("policies") or [config["policy"]]]
-    capacities = [int(c) for c in config.get("capacities") or [config["c"]]]
-    pretraining = [bool(p) for p in config.get("pretraining") or [config["pretrain"]]]
+    capacities = config.get("capacities") or [config["c"]]
+    pretraining = config.get("pretraining") or [config["pretrain"]]
     noise_levels = [float(x) for x in config.get("noise_levels") or [config["noise"]]]
+    for c, pretrain in itertools.product(capacities, pretraining):
+        _check_types({**config, "c": c, "pretrain": pretrain})
 
     out_dir = Path(config.get("out") or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +312,7 @@ def cmd_sweep(config: dict) -> int:
             cell.pop(axis, None)
         name = _cell_name(policy, c, pretrain, noise, bool(cell["random_labels"]))
         try:
-            build_experiment_config(cell, int(cell["master_seed"]))
+            build_experiment_config(cell, cell["master_seed"])
         except ConfigurationError as exc:
             print(f"skipping cell {name}: {exc}", file=sys.stderr)
             continue

@@ -1,7 +1,8 @@
 """Training data: synthetic Gaussian blobs, IDX file I/O, label corruption.
 
-All generators are pure functions of their seeds. Datasets are treated as
-immutable once built and can be shared freely between threads.
+All generators are pure functions of their seeds. Datasets are immutable once
+built: their X and y arrays are made read-only in place, so they can be shared
+freely between threads and evaluated outputs can be memoized against them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class Dataset:
             raise ValueError("need at least 2 classes")
         if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.K):
             raise ValueError(f"labels must lie in [0, {self.K})")
+        self.X.setflags(write=False)
+        self.y.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.y)

@@ -104,6 +104,8 @@ class Learner:
     rng: np.random.Generator
     is_oracle: bool = False
     held_labels: np.ndarray | None = field(default=None, repr=False)
+    # forward_batch outputs for one (spec, params) state; see forward_batch.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -183,12 +185,22 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
     Softmax of the final-layer logits, floored at PROB_FLOOR and
     renormalized, so every row is a valid distribution even when a
     logit gap underflows the softmax.
+
+    A read-only X that owns its memory (a Dataset's X) is memoized: a repeated
+    call with the same X object, the same spec object and parameters equal
+    by ``np.array_equal`` returns a copy of the remembered output.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != learner.spec.input_dim:
         raise ValueError(
             f"expected rows of width {learner.spec.input_dim}, got shape {X.shape}"
         )
+    memo = learner._memo if X.base is None and not X.flags.writeable else None
+    if memo is not None:
+        if memo.get("spec") is not learner.spec or not np.array_equal(memo["params"], learner.params):
+            learner._memo = memo = {"spec": learner.spec, "params": learner.params.copy()}
+        elif memo.get(id(X), (None,))[0] is X:
+            return memo[id(X)][1].copy()
     p = _activations(unpack_params(learner.spec, learner.params), X)[-1]
     p -= np.maximum.reduce(p, axis=1, keepdims=True)
     np.exp(p, out=p)
@@ -197,7 +209,10 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
     p /= np.add.reduce(p, axis=1, keepdims=True)
     # Renormalization can nudge a floored entry below the floor again;
     # the final clamp restores it while moving the row sum by < K*floor.
-    return np.maximum(p, PROB_FLOOR, out=p)
+    np.maximum(p, PROB_FLOOR, out=p)
+    if memo is not None:
+        memo[id(X)] = (X, p.copy())
+    return p
 
 
 def forward(learner: Learner, x: np.ndarray) -> np.ndarray:
@@ -294,6 +309,8 @@ def train_epoch(
         raise ValueError(f"{n} rows but {len(labels)} labels")
     if hp.batch_size > n:
         raise ValueError(f"batch_size {hp.batch_size} exceeds training-set size {n}")
+    if labels.min() < 0 or labels.max() >= learner.spec.n_classes:
+        raise ValueError(f"labels must lie in [0, {learner.spec.n_classes})")
 
     order = learner.rng.permutation(n) if hp.shuffle else np.arange(n)
     total = 0.0

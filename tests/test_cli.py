@@ -90,6 +90,20 @@ class TestRun:
         path.write_text(json.dumps({"noise": 1.5, "blobs": FAST_BLOBS}))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"pretrain": "false"}, {"shuffle": "no"}, {"n": 10.9}, {"rounds": True}],
+        ids=["pretrain_string", "shuffle_string", "n_float", "rounds_bool"],
+    )
+    def test_wrong_json_type_is_config_error_without_output(self, tmp_path, capsys, bad):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blobs": FAST_BLOBS, "seeds": 1, **bad}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and next(iter(bad)) in err
+        assert not out.exists()
+
     def test_unwritable_out_dir_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -191,6 +205,13 @@ class TestSweep:
         path = self.sweep_config(tmp_path, {"policies": []})
         assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
         assert "empty" in capsys.readouterr().err
+
+    def test_non_boolean_pretraining_axis_rejected(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, {"pretraining": [False, "false"]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "pretrain must be true or false" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
         path = self.sweep_config(

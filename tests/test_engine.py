@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import nkdiff.engine as engine
+import nkdiff.nn as nn
 from nkdiff import (
     BlobsSpec,
     ConfigurationError,
@@ -287,6 +289,38 @@ class TestRunExperiment:
         run_experiment(cfg, data=task, threads=1)
         fresh_oracle = init_learner(spec, 9, is_oracle=True, held_labels=train.y)
         assert np.array_equal(expected_oracle.params, fresh_oracle.params)
+
+    def test_each_learner_evaluated_once_per_parameter_state(self, task, monkeypatch):
+        # From round 2 on, a learner's test, train and validation outputs are
+        # recomputed only after it trains: 3 forward passes per session.
+        splits = [ds.X for ds in task]
+        computed = [0]
+        real_activations = nn._activations
+
+        def counting_activations(layers, X):
+            computed[0] += any(X is s for s in splits)
+            return real_activations(layers, X)
+
+        round_starts, sessions = [], []
+        real_make_plan, real_run_round = engine._make_plan, engine.run_round
+
+        def marking_make_plan(*args, **kwargs):
+            round_starts.append(computed[0])
+            return real_make_plan(*args, **kwargs)
+
+        def recording_run_round(*args, **kwargs):
+            stats = real_run_round(*args, **kwargs)
+            sessions.append(stats.executed_sessions)
+            return stats
+
+        monkeypatch.setattr(nn, "_activations", counting_activations)
+        monkeypatch.setattr(engine, "_make_plan", marking_make_plan)
+        monkeypatch.setattr(engine, "run_round", recording_run_round)
+        cfg = ExperimentConfig(policy="btb", capacity=2, rounds=5, dataset=SMALL_BLOBS, master_seed=1)
+        run_experiment(cfg, data=task, threads=1)
+        per_round = np.diff(round_starts + [computed[0]])
+        assert len(per_round) == 5
+        assert list(per_round[1:]) == [3 * n for n in sessions[1:]]
 
 
 class TestCorruptionPlumbing:

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import nkdiff.nn as nn
 from nkdiff import (
+    Dataset,
     ModelSpec,
     OracleUpdateError,
     PROB_FLOOR,
@@ -136,6 +138,93 @@ class TestForward:
             assert abs(p.sum() - 1.0) <= 1e-9
 
 
+@pytest.fixture
+def count_forwards(monkeypatch):
+    """Records the id of the input of every real forward computation."""
+    calls = []
+    real = nn._activations
+
+    def counting(layers, X):
+        calls.append(id(X))
+        return real(layers, X)
+
+    monkeypatch.setattr(nn, "_activations", counting)
+    return calls
+
+
+class TestForwardMemo:
+    def test_dataset_arrays_are_read_only(self, small_blobs):
+        assert not small_blobs.X.flags.writeable
+        assert not small_blobs.y.flags.writeable
+        with pytest.raises(ValueError):
+            small_blobs.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            small_blobs.y[0] = 0
+
+    def test_repeat_returns_fresh_equal_copies(self, small_spec, small_blobs, count_forwards):
+        learner = init_learner(small_spec, 0)
+        first = forward_batch(learner, small_blobs.X)
+        expected = first.tobytes()
+        first[:] = 0.5
+        second = forward_batch(learner, small_blobs.X)
+        assert second.tobytes() == expected
+        second[:] = 0.25
+        third = forward_batch(learner, small_blobs.X)
+        assert third.tobytes() == expected
+        assert third is not second and not np.shares_memory(second, third)
+        assert count_forwards == [id(small_blobs.X)]
+
+    def test_training_invalidates(self, small_spec, small_blobs, hp):
+        learner = init_learner(small_spec, 0)
+        before = forward_batch(learner, small_blobs.X)
+        train_epoch(learner, small_blobs.X, small_blobs.y, hp)
+        fresh = init_learner(small_spec, 1)
+        fresh.params[:] = learner.params
+        after = forward_batch(learner, small_blobs.X)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward_batch(fresh, small_blobs.X.copy()))
+
+    def test_in_place_param_edit_invalidates(self, small_spec, small_blobs):
+        learner = init_learner(small_spec, 0)
+        other = init_learner(small_spec, 1)
+        forward_batch(learner, small_blobs.X)
+        learner.params[:] = other.params
+        assert np.array_equal(
+            forward_batch(learner, small_blobs.X), forward_batch(other, small_blobs.X.copy())
+        )
+
+    def test_new_spec_object_recomputes(self, small_spec, small_blobs, count_forwards):
+        learner = init_learner(small_spec, 0)
+        forward_batch(learner, small_blobs.X)
+        learner.spec = ModelSpec(layer_widths=small_spec.layer_widths, seed=small_spec.seed)
+        forward_batch(learner, small_blobs.X)
+        assert len(count_forwards) == 2
+
+    def test_writeable_and_view_inputs_are_not_memoized(self, small_spec, small_blobs, count_forwards):
+        learner = init_learner(small_spec, 0)
+        writeable = small_blobs.X.copy()
+        for X in (writeable, writeable, small_blobs.X[:17], small_blobs.X[:17]):
+            forward_batch(learner, X)
+        assert learner._memo == {}
+        assert len(count_forwards) == 4
+
+    def test_nan_params_never_hit(self, small_spec, small_blobs, count_forwards):
+        learner = init_learner(small_spec, 0)
+        learner.params[0] = np.nan
+        for _ in range(3):
+            forward_batch(learner, small_blobs.X)
+        assert len(count_forwards) == 3
+
+    def test_memo_keeps_one_entry_per_dataset_array(self, small_spec, count_forwards):
+        ds = Dataset(X=np.ones((5, 4)), y=np.zeros(5), K=3)
+        learner = init_learner(small_spec, 0)
+        for _ in range(3):
+            forward_batch(learner, ds.X)
+            pseudolabels(learner, ds.X)
+        assert len(count_forwards) == 1
+        assert [k for k in learner._memo if k not in ("spec", "params")] == [id(ds.X)]
+
+
 class TestPseudolabels:
     def test_oracle_returns_held_labels(self, small_spec, small_blobs):
         oracle = init_learner(small_spec, 9, is_oracle=True, held_labels=small_blobs.y)
@@ -199,6 +288,17 @@ class TestTrainEpoch:
         learner = init_learner(small_spec, 0)
         with pytest.raises(ValueError):
             train_epoch(learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.1, 1000))
+
+    @pytest.mark.parametrize(
+        "relabel", [lambda y: -1 - y, lambda y: y + 3], ids=["negative", "at_least_K"]
+    )
+    def test_labels_outside_class_range_rejected(self, small_spec, small_blobs, hp, relabel):
+        learner = init_learner(small_spec, 0)
+        before = learner.params.copy()
+        labels = relabel(small_blobs.y)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            train_epoch(learner, small_blobs.X, labels, hp)
+        assert np.array_equal(learner.params, before)
 
     def test_only_target_learner_mutates(self, small_spec, small_blobs, hp):
         a = init_learner(small_spec, 0)

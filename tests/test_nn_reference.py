@@ -149,3 +149,9 @@ def test_forward_batch_matches_reference_bit_for_bit(widths):
     train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.05, 32))
     X = np.vstack([ds.X, np.full((1, widths[0]), 1e8), np.full((1, widths[0]), -1e8)])
     assert np.array_equal(forward_batch(learner, X), ref_forward_batch(learner, X))
+    # A read-only X is memoized: the first call and the memo hit both match.
+    X.setflags(write=False)
+    expected = ref_forward_batch(learner, X)
+    assert np.array_equal(forward_batch(learner, X), expected)
+    assert id(X) in learner._memo
+    assert np.array_equal(forward_batch(learner, X), expected)
