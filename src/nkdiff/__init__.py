@@ -24,7 +24,6 @@ from .engine import (
     RoundStats,
     policy_stream,
     prepare_data,
-    resolve_threads,
     run_experiment,
     run_round,
     run_session,

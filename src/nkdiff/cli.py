@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import BlobsSpec, CorruptionSpec, IdxSpec
-from .engine import ExperimentConfig, prepare_data, resolve_threads, run_experiment
+from .data import BlobsSpec, CorruptionSpec, IdxFormatError, IdxSpec
+from .engine import ExperimentConfig, prepare_data, run_experiment
 from .metrics import AGG_FIELDS, MetricsRecord, aggregate_seeds
 from .nn import TrainHyperparams
 from .policies import ConfigurationError
@@ -64,9 +64,10 @@ DEFAULT_CONFIG: dict = {
 
 SWEEP_AXES = ("policies", "capacities", "pretraining", "noise_levels")
 
-# Keys whose values must be JSON booleans or JSON integers (never booleans).
+# Keys whose values must be JSON booleans, integers or numbers; a boolean is never a number.
 BOOL_KEYS = ("pretrain", "random_labels", "shuffle")
 INT_KEYS = ("n", "c", "rounds", "seeds", "master_seed", "noise_seed", "batch_size")
+FLOAT_KEYS = ("noise", "learning_rate")
 
 
 @dataclass
@@ -142,13 +143,16 @@ def _is_int(value) -> bool:
 
 
 def _check_types(config: dict) -> None:
-    """Require JSON booleans and integers where Python would coerce silently."""
+    """Require JSON booleans, integers and numbers where Python would coerce silently."""
     for key in BOOL_KEYS:
         if not isinstance(config[key], bool):
             raise ConfigurationError(f"{key} must be true or false, got {config[key]!r}")
     for key in INT_KEYS:
         if not _is_int(config[key]):
             raise ConfigurationError(f"{key} must be an integer, got {config[key]!r}")
+    for key in FLOAT_KEYS:
+        if not (_is_int(config[key]) or isinstance(config[key], float)):
+            raise ConfigurationError(f"{key} must be a number, got {config[key]!r}")
     widths = config["hidden_widths"]
     if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
         raise ConfigurationError(f"hidden_widths must be a list of integers, got {widths!r}")
@@ -255,12 +259,17 @@ def execute_run(config: dict, out_dir: Path) -> list[list[MetricsRecord]]:
     # Validate before any training or I/O.
     experiment_cfgs = [build_experiment_config(config, seed) for seed in seeds]
 
+    try:
+        data = prepare_data(experiment_cfgs[0])
+    except IdxFormatError:
+        raise
+    except ValueError as exc:
+        raise ConfigurationError(f"dataset: {exc}") from exc
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = resolve_threads()
-    data = prepare_data(experiment_cfgs[0])
     runs = []
     for seed, cfg in zip(seeds, experiment_cfgs):
-        records = run_experiment(cfg, data=data, threads=threads)
+        records = run_experiment(cfg, data=data)
         _write_atomic(out_dir / f"run_{seed}.csv", format_run_csv(records))
         runs.append(records)
     _write_atomic(out_dir / "agg.csv", format_agg_csv(runs))
@@ -295,9 +304,10 @@ def cmd_sweep(config: dict) -> int:
     policies = [str(p).lower() for p in config.get("policies") or [config["policy"]]]
     capacities = config.get("capacities") or [config["c"]]
     pretraining = config.get("pretraining") or [config["pretrain"]]
-    noise_levels = [float(x) for x in config.get("noise_levels") or [config["noise"]]]
-    for c, pretrain in itertools.product(capacities, pretraining):
-        _check_types({**config, "c": c, "pretrain": pretrain})
+    noise_levels = config.get("noise_levels") or [config["noise"]]
+    for c, pretrain, noise in itertools.product(capacities, pretraining, noise_levels):
+        _check_types({**config, "c": c, "pretrain": pretrain, "noise": noise})
+    noise_levels = [float(x) for x in noise_levels]
 
     out_dir = Path(config.get("out") or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -415,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (IdxFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

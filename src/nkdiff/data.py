@@ -1,8 +1,8 @@
 """Training data: synthetic Gaussian blobs, IDX file I/O, label corruption.
 
 All generators are pure functions of their seeds. Datasets are immutable once
-built: their X and y arrays are made read-only in place, so they can be shared
-freely between threads and evaluated outputs can be memoized against them.
+built: their X and y arrays are made read-only in place, so evaluated outputs
+can be memoized against them.
 """
 
 from __future__ import annotations

@@ -11,14 +11,12 @@ Accounting conventions (these define the budget axes exactly):
 
 Determinism: the shuffle stream of a session is keyed by
 (master_seed, round index, learner id), and a teacher's labels for a round
-are computed once from its start-of-round parameters. Results are therefore
-bit-identical for any worker-thread count and any session order.
+are computed once from its start-of-round parameters. Sessions run serially
+in plan order, and results would be bit-identical in any other order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +43,6 @@ from .population import (
     rank_models,
 )
 
-THREADS_ENV_VAR = "NKDIFF_THREADS"
-
 _SESSION_STREAM = 2
 _POLICY_STREAM = 3
 
@@ -64,7 +60,6 @@ class ResourceLedger:
 class RoundStats:
     executed_sessions: int
     oracle_sessions: int
-    mean_loss: float
 
 
 @dataclass(frozen=True)
@@ -97,26 +92,6 @@ class ExperimentConfig:
             raise ConfigurationError("population needs at least 2 models")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative")
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker-thread cap: explicit arg, else NKDIFF_THREADS, else CPUs this process may use."""
-    if threads is not None:
-        if threads < 1:
-            raise ConfigurationError("thread count must be positive")
-        return threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-        if value < 1:
-            raise ConfigurationError(f"{THREADS_ENV_VAR} must be positive, got {value}")
-        return value
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def session_stream(master_seed: int, round_index: int, learner_id: int) -> np.random.Generator:
@@ -160,7 +135,6 @@ def run_round(
     hp: TrainHyperparams,
     ledger: ResourceLedger,
     capacity: int | None = None,
-    threads: int = 1,
     master_seed: int | None = None,
     round_index: int = 0,
 ) -> RoundStats:
@@ -169,8 +143,8 @@ def run_round(
     Teacher labels are computed once per teacher from pre-round
     parameters, before any session runs, so teachers are frozen within
     the round. With ``master_seed`` set, each session's shuffle stream is
-    re-keyed to (master_seed, round_index, learner id); sessions touch
-    disjoint learners and may run on any number of worker threads.
+    re-keyed to (master_seed, round_index, learner id). Sessions touch
+    disjoint learners and run one after another in plan order.
     """
     validate_plan(plan, pop.n, capacity)
 
@@ -188,34 +162,16 @@ def run_round(
         if teacher.id not in label_cache:
             label_cache[teacher.id] = pseudolabels(teacher, train.X)
 
-    if master_seed is not None:
-        for _, learner in sessions:
+    for teacher, learner in sessions:
+        if master_seed is not None:
             learner.rng = session_stream(master_seed, round_index, learner.id)
-
-    def execute(job: tuple[Learner, Learner]) -> tuple[int, SessionStats]:
-        teacher, learner = job
-        stats = run_session(teacher, learner, train.X, hp, labels=label_cache[teacher.id])
-        assert stats is not None
-        return learner.id, stats
-
-    if threads > 1 and len(sessions) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute, sessions))
-    else:
-        results = [execute(job) for job in sessions]
+        run_session(teacher, learner, train.X, hp, labels=label_cache[teacher.id])
 
     oracle_sessions = sum(1 for teacher, _ in sessions if teacher.is_oracle)
     ledger.oracle_sessions += oracle_sessions
     ledger.forward_ops += len(train) * len(sessions)
     ledger.rounds_completed += 1
-
-    losses = [stats.mean_loss for _, stats in sorted(results, key=lambda r: r[0])]
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return RoundStats(
-        executed_sessions=len(sessions),
-        oracle_sessions=oracle_sessions,
-        mean_loss=mean_loss,
-    )
+    return RoundStats(executed_sessions=len(sessions), oracle_sessions=oracle_sessions)
 
 
 def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index: int) -> RoundPlan:
@@ -252,8 +208,9 @@ def run_experiment(
     assumed already applied to them. Otherwise the config's dataset and
     corruption specs are materialized here. The oracle holds the training
     labels as given, so a corrupted train set means a noisy oracle.
+    ``threads`` is accepted for compatibility and ignored: sessions always
+    run serially.
     """
-    threads = resolve_threads(threads)
     if data is None:
         train, val, test = prepare_data(cfg)
     else:
@@ -285,7 +242,6 @@ def run_experiment(
             cfg.hyperparams,
             ledger,
             capacity=cfg.capacity,
-            threads=threads,
             master_seed=cfg.master_seed,
             round_index=t,
         )

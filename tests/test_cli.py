@@ -1,9 +1,12 @@
 """Unit tests for the command-line front-end and its CSV outputs."""
 
 import json
+import threading
 
+import numpy as np
 import pytest
 
+from nkdiff import write_idx
 from nkdiff.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -31,6 +34,24 @@ def fast_args(tmp_path, *extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return ["run", "--config", str(path), "--out", str(tmp_path / "out"), *extra]
+
+
+def write_idx_files(tmp_path):
+    """Write small random IDX train/test pairs; return the config's path keys."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for part, n in (("train", 80), ("test", 30)):
+        img = tmp_path / f"{part}_images.idx"
+        lab = tmp_path / f"{part}_labels.idx"
+        write_idx(
+            img,
+            lab,
+            rng.integers(0, 256, size=(n, 3, 3), dtype=np.uint8),
+            rng.integers(0, 10, size=n).astype(np.uint8),
+        )
+        paths[f"{part}_images"] = str(img)
+        paths[f"{part}_labels"] = str(lab)
+    return paths
 
 
 class TestRun:
@@ -71,6 +92,14 @@ class TestRun:
         threaded = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
         assert serial == threaded
 
+    def test_runs_without_starting_threads(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("sessions must not start threads")
+
+        monkeypatch.setenv("NKDIFF_THREADS", "4")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(fast_args(tmp_path)) == EXIT_OK
+
     def test_bad_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"policy": }')
@@ -92,8 +121,22 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"pretrain": "false"}, {"shuffle": "no"}, {"n": 10.9}, {"rounds": True}],
-        ids=["pretrain_string", "shuffle_string", "n_float", "rounds_bool"],
+        [
+            {"pretrain": "false"},
+            {"shuffle": "no"},
+            {"n": 10.9},
+            {"rounds": True},
+            {"noise": "0.4"},
+            {"learning_rate": "0.01"},
+        ],
+        ids=[
+            "pretrain_string",
+            "shuffle_string",
+            "n_float",
+            "rounds_bool",
+            "noise_string",
+            "learning_rate_string",
+        ],
     )
     def test_wrong_json_type_is_config_error_without_output(self, tmp_path, capsys, bad):
         path = tmp_path / "config.json"
@@ -104,6 +147,28 @@ class TestRun:
         assert err.count("\n") == 1 and next(iter(bad)) in err
         assert not out.exists()
 
+    def test_bad_dataset_size_is_config_error_without_output(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blobs": {**FAST_BLOBS, "n_per_class": 0}, "seeds": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "per class" in err
+        assert not out.exists()
+
+    def test_truncated_idx_is_io_error_without_output(self, tmp_path, capsys):
+        paths = write_idx_files(tmp_path)
+        images = tmp_path / "train_images.idx"
+        images.write_bytes(images.read_bytes()[:-5])
+        config = {"dataset": "idx", "idx": {**paths, "val_frac": 0.2, "seed": 1}, "seeds": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "train_images.idx" in err
+        assert not out.exists()
+
     def test_unwritable_out_dir_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -111,23 +176,7 @@ class TestRun:
         assert code == EXIT_IO
 
     def test_idx_dataset_end_to_end(self, tmp_path):
-        import numpy as np
-
-        from nkdiff import write_idx
-
-        rng = np.random.default_rng(0)
-        paths = {}
-        for part, n in (("train", 80), ("test", 30)):
-            img = tmp_path / f"{part}_images.idx"
-            lab = tmp_path / f"{part}_labels.idx"
-            write_idx(
-                img,
-                lab,
-                rng.integers(0, 256, size=(n, 3, 3), dtype=np.uint8),
-                rng.integers(0, 10, size=n).astype(np.uint8),
-            )
-            paths[f"{part}_images"] = str(img)
-            paths[f"{part}_labels"] = str(lab)
+        paths = write_idx_files(tmp_path)
         config = {
             "dataset": "idx",
             "idx": {**paths, "val_frac": 0.2, "seed": 1},
@@ -211,6 +260,14 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert "pretrain must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_noise_level_rejected(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, {"noise_levels": [0.0, "abc"]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise must be a number" in err
         assert not out.exists()
 
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
