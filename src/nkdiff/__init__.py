@@ -43,6 +43,7 @@ from .nn import (
     PROB_FLOOR,
     Learner,
     ModelSpec,
+    NonFiniteError,
     OracleUpdateError,
     SessionStats,
     TrainHyperparams,

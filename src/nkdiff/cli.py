@@ -24,12 +24,13 @@ import numpy as np
 from .data import BlobsSpec, CorruptionSpec, IdxFormatError, IdxSpec
 from .engine import ExperimentConfig, prepare_data, run_experiment
 from .metrics import AGG_FIELDS, MetricsRecord, aggregate_seeds
-from .nn import TrainHyperparams
+from .nn import NonFiniteError, TrainHyperparams
 from .policies import ConfigurationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 RUN_CSV_HEADER = "round,oracle_sessions,forward_ops,alacc_test,ensacc_test,alacc_train,ensacc_val"
 
@@ -428,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     except (IdxFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -25,6 +25,10 @@ class OracleUpdateError(RuntimeError):
     """A training operation targeted the label-holding oracle."""
 
 
+class NonFiniteError(ArithmeticError):
+    """Training left a learner with NaN or infinite parameters."""
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture shared by a whole population.
@@ -167,16 +171,26 @@ def _activations(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray) -> 
     """Forward pass: [X, hidden activations..., logits], all but X fresh arrays.
 
     ReLU runs in place: backprop needs only where z > 0, and relu(z) > 0 there.
+    Products use ``np.dot``: the same gemm as ``@`` with less dispatch.
     """
     acts = [X]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        a = acts[-1] @ w
+        a = np.dot(acts[-1], w)
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
         acts.append(a)
     return acts
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array as an (n, 1) column.
+
+    Reduces a contiguous transposed copy along its first axis, which numpy
+    vectorizes across rows; a max is exact, so the order does not matter.
+    """
+    return np.maximum.reduce(a.T.copy(), axis=0)[:, None]
 
 
 def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
@@ -202,7 +216,7 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
         elif memo.get(id(X), (None,))[0] is X:
             return memo[id(X)][1].copy()
     p = _activations(unpack_params(learner.spec, learner.params), X)[-1]
-    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+    p -= _row_max(p)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=1, keepdims=True)
     np.maximum(p, PROB_FLOOR, out=p)
@@ -253,12 +267,20 @@ def pseudolabels(teacher: Learner, X: np.ndarray) -> np.ndarray:
 
 
 def loss_and_gradient(
-    spec: ModelSpec, params: np.ndarray, X: np.ndarray, labels: np.ndarray
+    spec: ModelSpec,
+    params: np.ndarray,
+    X: np.ndarray,
+    labels: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. params.
 
     The gradient is exact backprop; the loss uses a numerically stable
     log-softmax so finite-difference checks agree to high precision.
+
+    ``out``, if given, is a float64 vector shaped like ``params``; the
+    gradient is written into it, overwriting every entry, and it is returned
+    in place of a fresh array. Labels must lie in [0, K).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -267,7 +289,7 @@ def loss_and_gradient(
 
     # Stable log-softmax, computed in place over the logits.
     log_probs = acts.pop()
-    log_probs -= np.maximum.reduce(log_probs, axis=1, keepdims=True)
+    log_probs -= _row_max(log_probs)
     log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
     n = len(X)
     rows = np.arange(n)
@@ -277,14 +299,14 @@ def loss_and_gradient(
     delta[rows, labels] -= 1.0
     delta /= n
 
-    grad = np.empty_like(params)
+    grad = np.empty_like(params) if out is None else out
     grads = unpack_params(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grads[i]
-        np.matmul(acts[i].T, delta, out=gw)
+        np.dot(acts[i].T, delta, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = delta @ layers[i][0].T
+            delta = np.dot(delta, layers[i][0].T)
             delta *= acts[i] > 0.0
     return loss, grad
 
@@ -296,7 +318,8 @@ def train_epoch(
 
     Batch order comes from the learner's own rng stream when shuffling,
     so sessions on distinct learners are order-independent. Forward-op
-    count is one unit per training example.
+    count is one unit per training example. Raises NonFiniteError if the
+    epoch leaves any parameter NaN or infinite (the learning rate diverged).
     """
     if learner.is_oracle:
         raise OracleUpdateError("the oracle never updates its parameters")
@@ -313,11 +336,25 @@ def train_epoch(
         raise ValueError(f"labels must lie in [0, {learner.spec.n_classes})")
 
     order = learner.rng.permutation(n) if hp.shuffle else np.arange(n)
+    # Rows of X are gathered per batch: a shuffled copy of all of X per
+    # epoch would cost a full-size buffer on wide inputs.
+    labels = labels[order]
+    grad = np.empty_like(learner.params)
     total = 0.0
-    for start in range(0, n, hp.batch_size):
-        idx = order[start : start + hp.batch_size]
-        loss, grad = loss_and_gradient(learner.spec, learner.params, X[idx], labels[idx])
-        grad *= hp.learning_rate
-        learner.params -= grad
-        total += loss * len(idx)
+    # Divergence is reported once, by the check below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, hp.batch_size):
+            stop = start + hp.batch_size
+            batch = X.take(order[start:stop], axis=0)
+            loss, _ = loss_and_gradient(
+                learner.spec, learner.params, batch, labels[start:stop], out=grad
+            )
+            grad *= hp.learning_rate
+            learner.params -= grad
+            total += loss * len(batch)
+    if not np.isfinite(learner.params).all():
+        raise NonFiniteError(
+            f"learner {learner.id} has non-finite parameters after training "
+            f"at learning rate {hp.learning_rate:g}"
+        )
     return SessionStats(mean_loss=total / n, forward_ops=n)

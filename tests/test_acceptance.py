@@ -203,6 +203,7 @@ def test_criterion_04_per_round_oracle_session_identities(ref_data):
     print("PASS criterion 4: per-round oracle sessions C-1 (oo/btb/eq at C in {2,5}) and 1 (pom), 10 rounds exact")
 
 
+@pytest.mark.slow
 def test_criterion_05_capacity_efficiency_at_fixed_budget(long_clean_runs):
     # budget: two full C=10 rounds = 18 oracle sessions
     budget = 2 * (N_MODELS - 1)
@@ -221,6 +222,7 @@ def test_criterion_05_capacity_efficiency_at_fixed_budget(long_clean_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_convergence_gap_small(long_clean_runs):
     oo = np.mean([run[-1].alacc_test for run in long_clean_runs["oo10"]])
     btb = np.mean([run[-1].alacc_test for run in long_clean_runs["btb2"]])
@@ -232,6 +234,7 @@ def test_criterion_06_convergence_gap_small(long_clean_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_policy_ordering_with_pretraining(ref_data):
     seeds = 32
     runs = {
@@ -257,6 +260,7 @@ def test_criterion_07_policy_ordering_with_pretraining(ref_data):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_pom_memorization_resistance(ref_data):
     train, val, test = ref_data
     random_labels = corrupt_labels(
@@ -299,6 +303,7 @@ def test_criterion_08_pom_memorization_resistance(ref_data):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_noise_robustness(ref_data):
     train, val, test = ref_data
     noisy = train.with_labels(

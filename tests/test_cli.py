@@ -10,6 +10,7 @@ from nkdiff import write_idx
 from nkdiff.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     RUN_CSV_HEADER,
     config_hash,
@@ -168,6 +169,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "train_images.idx" in err
         assert not out.exists()
+
+    def test_diverging_learning_rate_is_numeric_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"learning_rate": 1e6, "rounds": 3, "seeds": 2}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric error: learner ")
+        assert "1e+06" in err
 
     def test_unwritable_out_dir_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"

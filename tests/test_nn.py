@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import nkdiff.nn as nn
 from nkdiff import (
     Dataset,
     ModelSpec,
+    NonFiniteError,
     OracleUpdateError,
     PROB_FLOOR,
     TrainHyperparams,
@@ -299,6 +301,14 @@ class TestTrainEpoch:
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             train_epoch(learner, small_blobs.X, labels, hp)
         assert np.array_equal(learner.params, before)
+
+    def test_divergence_raises_naming_learner_and_rate(self, small_spec, small_blobs):
+        learner = init_learner(small_spec, 6)
+        # Divergence is reported by the exception alone, not by numpy warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"learner 6 .* 1e\+100"):
+                train_epoch(learner, small_blobs.X, small_blobs.y, TrainHyperparams(1e100, 16))
 
     def test_only_target_learner_mutates(self, small_spec, small_blobs, hp):
         a = init_learner(small_spec, 0)

@@ -22,6 +22,7 @@ from nkdiff import (
     init_learner,
     loss_and_gradient,
     train_epoch,
+    unpack_params,
 )
 
 
@@ -106,7 +107,8 @@ def ref_train_epoch(learner, X, labels, hp):
     return total / n
 
 
-WIDTHS = [(4, 5, 3), (10, 16, 3), (6, 8, 8, 4)]
+# At K >= 8 numpy sums the class axis pairwise, not left to right.
+WIDTHS = [(4, 5, 3), (10, 16, 3), (6, 8, 8, 4), (12, 16, 10)]
 
 
 def blobs_for(widths, seed):
@@ -155,3 +157,29 @@ def test_forward_batch_matches_reference_bit_for_bit(widths):
     assert np.array_equal(forward_batch(learner, X), expected)
     assert id(X) in learner._memo
     assert np.array_equal(forward_batch(learner, X), expected)
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+def test_loss_and_gradient_out_buffer_is_overwritten_and_returned(widths):
+    ds = blobs_for(widths, seed=17)
+    spec = ModelSpec(layer_widths=widths, seed=5)
+    params = init_learner(spec, 2).params
+    buf = np.full_like(params, np.nan)
+    loss, grad = loss_and_gradient(spec, params, ds.X[:17], ds.y[:17], out=buf)
+    fresh_loss, fresh_grad = loss_and_gradient(spec, params, ds.X[:17], ds.y[:17])
+    assert grad is buf
+    assert loss == fresh_loss
+    assert np.array_equal(buf, fresh_grad)
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+def test_forward_batch_with_equal_logits_matches_reference(widths):
+    ds = blobs_for(widths, seed=19)
+    learner = init_learner(ModelSpec(layer_widths=widths, seed=7), 4)
+    w, b = unpack_params(learner.spec, learner.params)[-1]
+    w[...] = 0.0
+    b[...] = 0.5
+    # Every row's logits are all equal, so each row's max is tied K ways.
+    p = forward_batch(learner, ds.X)
+    assert np.array_equal(p, ref_forward_batch(learner, ds.X))
+    assert np.all(p == p[:, :1])
