@@ -310,8 +310,9 @@ def cmd_sweep(config: dict) -> int:
         _check_types({**config, "c": c, "pretrain": pretrain, "noise": noise})
     noise_levels = [float(x) for x in noise_levels]
 
+    # The first cell's execute_run creates out_dir after building its data,
+    # so a sweep that fails on bad data or skips every cell writes nothing.
     out_dir = Path(config.get("out") or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for policy, c, pretrain, noise in itertools.product(
         policies, capacities, pretraining, noise_levels

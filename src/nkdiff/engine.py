@@ -17,13 +17,22 @@ in plan order, and results would be bit-identical in any other order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import BlobsSpec, CorruptionSpec, Dataset, IdxSpec, build_datasets, corrupt_labels
 from .metrics import MetricsRecord, accuracy, average_learner_accuracy
-from .nn import Learner, ModelSpec, SessionStats, TrainHyperparams, pseudolabels, train_epoch
+from .nn import (
+    Learner,
+    ModelSpec,
+    NonFiniteError,
+    SessionStats,
+    TrainHyperparams,
+    pseudolabels,
+    train_epoch,
+)
 from .policies import (
     ConfigurationError,
     PolicyConfig,
@@ -209,7 +218,8 @@ def run_experiment(
     corruption specs are materialized here. The oracle holds the training
     labels as given, so a corrupted train set means a noisy oracle.
     ``threads`` is accepted for compatibility and ignored: sessions always
-    run serially.
+    run serially. A NonFiniteError gets ``(seed S, round t)`` or
+    ``(seed S, warm-up)`` appended to its message.
     """
     if data is None:
         train, val, test = prepare_data(cfg)
@@ -227,35 +237,46 @@ def run_experiment(
     pop = init_population(spec, cfg.n_models, oracle_labels=train.y)
     ledger = ResourceLedger()
     if cfg.pretrain:
-        delta = pretrain_population(pop, train, cfg.hyperparams)
+        with _numeric_context(cfg.master_seed, "warm-up"):
+            delta = pretrain_population(pop, train, cfg.hyperparams)
         ledger.oracle_sessions += delta.oracle_sessions
         ledger.forward_ops += delta.forward_ops
 
     records: list[MetricsRecord] = []
     trainees = pop.trainees
     for t in range(1, cfg.rounds + 1):
-        plan = _make_plan(cfg, pop, val, t)
-        run_round(
-            pop,
-            plan,
-            train,
-            cfg.hyperparams,
-            ledger,
-            capacity=cfg.capacity,
-            master_seed=cfg.master_seed,
-            round_index=t,
-        )
-        per_learner = np.array([accuracy(l, test) for l in trainees])
-        records.append(
-            MetricsRecord(
-                round=t,
-                alacc_test=float(per_learner.mean()),
-                ensacc_test=accuracy(trainees, test),
-                alacc_train=average_learner_accuracy(pop, train),
-                ensacc_val=accuracy(trainees, val),
-                oracle_sessions=ledger.oracle_sessions,
-                forward_ops=ledger.forward_ops,
-                per_learner_acc=per_learner,
+        with _numeric_context(cfg.master_seed, f"round {t}"):
+            plan = _make_plan(cfg, pop, val, t)
+            run_round(
+                pop,
+                plan,
+                train,
+                cfg.hyperparams,
+                ledger,
+                capacity=cfg.capacity,
+                master_seed=cfg.master_seed,
+                round_index=t,
             )
-        )
+            per_learner = np.array([accuracy(l, test) for l in trainees])
+            records.append(
+                MetricsRecord(
+                    round=t,
+                    alacc_test=float(per_learner.mean()),
+                    ensacc_test=accuracy(trainees, test),
+                    alacc_train=average_learner_accuracy(pop, train),
+                    ensacc_val=accuracy(trainees, val),
+                    oracle_sessions=ledger.oracle_sessions,
+                    forward_ops=ledger.forward_ops,
+                    per_learner_acc=per_learner,
+                )
+            )
     return records
+
+
+@contextmanager
+def _numeric_context(seed: int, phase: str):
+    """Append ``(seed S, phase)`` to a NonFiniteError raised inside."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{exc} (seed {seed}, {phase})") from None

@@ -26,7 +26,7 @@ class OracleUpdateError(RuntimeError):
 
 
 class NonFiniteError(ArithmeticError):
-    """Training left a learner with NaN or infinite parameters."""
+    """A learner's parameters or logits became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,12 @@ class ModelSpec:
             start += wi * wo + wo
         object.__setattr__(self, "_layout", tuple(layout))
         object.__setattr__(self, "_n_params", start)
+        # (params, out, their layer views) last remembered by loss_and_gradient.
+        object.__setattr__(self, "_views", (None, None, None, None))
+
+    def __getstate__(self):
+        # Copies start without the view memo: its views alias this spec's arrays.
+        return {**self.__dict__, "_views": (None, None, None, None)}
 
     @property
     def input_dim(self) -> int:
@@ -203,6 +209,9 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
     A read-only X that owns its memory (a Dataset's X) is memoized: a repeated
     call with the same X object, the same spec object and parameters equal
     by ``np.array_equal`` returns a copy of the remembered output.
+
+    Raises NonFiniteError, naming the learner, if a computed logit is NaN or
+    infinite; such a learner's distributions would be scored as if valid.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != learner.spec.input_dim:
@@ -215,15 +224,19 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
             learner._memo = memo = {"spec": learner.spec, "params": learner.params.copy()}
         elif memo.get(id(X), (None,))[0] is X:
             return memo[id(X)][1].copy()
-    p = _activations(unpack_params(learner.spec, learner.params), X)[-1]
-    p -= _row_max(p)
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=1, keepdims=True)
-    np.maximum(p, PROB_FLOOR, out=p)
-    p /= np.add.reduce(p, axis=1, keepdims=True)
-    # Renormalization can nudge a floored entry below the floor again;
-    # the final clamp restores it while moving the row sum by < K*floor.
-    np.maximum(p, PROB_FLOOR, out=p)
+    # Overflow is reported once, by the NonFiniteError below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _activations(unpack_params(learner.spec, learner.params), X)[-1]
+        if not np.isfinite(p).all():
+            raise NonFiniteError(f"learner {learner.id} has non-finite logits in evaluation")
+        p -= _row_max(p)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        np.maximum(p, PROB_FLOOR, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        # Renormalization can nudge a floored entry below the floor again;
+        # the final clamp restores it while moving the row sum by < K*floor.
+        np.maximum(p, PROB_FLOOR, out=p)
     if memo is not None:
         memo[id(X)] = (X, p.copy())
     return p
@@ -281,10 +294,20 @@ def loss_and_gradient(
     ``out``, if given, is a float64 vector shaped like ``params``; the
     gradient is written into it, overwriting every entry, and it is returned
     in place of a fresh array. Labels must lie in [0, K).
+
+    The spec keeps the layer views of the last C-contiguous (``params``,
+    ``out``) pair, so a loop that passes the same two arrays builds them once.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    layers = unpack_params(spec, params)
+    grad = np.empty_like(params) if out is None else out
+    memo = spec._views
+    if memo[0] is params and memo[1] is grad and params.shape == grad.shape == (spec._n_params,):
+        layers, grads = memo[2], memo[3]
+    else:
+        layers, grads = unpack_params(spec, params), unpack_params(spec, grad)
+        if out is not None and params.flags.c_contiguous and out.flags.c_contiguous:
+            object.__setattr__(spec, "_views", (params, out, layers, grads))
     acts = _activations(layers, X)
 
     # Stable log-softmax, computed in place over the logits.
@@ -299,8 +322,6 @@ def loss_and_gradient(
     delta[rows, labels] -= 1.0
     delta /= n
 
-    grad = np.empty_like(params) if out is None else out
-    grads = unpack_params(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grads[i]
         np.dot(acts[i].T, delta, out=gw)

@@ -1,7 +1,9 @@
 """Unit tests for the command-line front-end and its CSV outputs."""
 
 import json
+import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +181,19 @@ class TestRun:
         assert err.count("\n") == 1 and err.startswith("numeric error: learner ")
         assert "1e+06" in err
 
+    def test_overflow_in_evaluation_is_numeric_error(self, tmp_path, capsys):
+        # Parameters stay finite here while evaluation overflows; that must
+        # end the run with one line, not with warnings and NaN scores.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"learning_rate": 100, "rounds": 10, "seeds": 2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric error: learner ")
+        assert re.search(r"\(seed \d+, round \d+\)$", err.strip())
+
     def test_unwritable_out_dir_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -278,6 +293,22 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "noise must be a number" in err
+        assert not out.exists()
+
+    def test_bad_dataset_writes_nothing(self, tmp_path, capsys):
+        path = self.sweep_config(
+            tmp_path, {"blobs": {**FAST_BLOBS, "n_per_class": 0}, "policies": ["oo", "btb"]}
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "per class" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_cells_skipped_writes_nothing(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, {"policies": ["pom"], "capacities": [5]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "no valid cells" in capsys.readouterr().err
         assert not out.exists()
 
     def test_summary_row_count_matches_valid_cells(self, tmp_path):

@@ -12,6 +12,7 @@ from nkdiff import (
     ConfigurationError,
     ExperimentConfig,
     ModelSpec,
+    NonFiniteError,
     ResourceLedger,
     RoundPlan,
     TrainHyperparams,
@@ -267,6 +268,19 @@ class TestRunExperiment:
         run_experiment(cfg, data=task, threads=1)
         fresh_oracle = init_learner(spec, 9, is_oracle=True, held_labels=train.y)
         assert np.array_equal(expected_oracle.params, fresh_oracle.params)
+
+    @pytest.mark.parametrize("pretrain, phase", [(False, "round 1"), (True, "warm-up")])
+    def test_numeric_error_names_seed_and_phase(self, task, pretrain, phase):
+        cfg = ExperimentConfig(
+            policy="btb",
+            rounds=2,
+            pretrain=pretrain,
+            dataset=SMALL_BLOBS,
+            hyperparams=TrainHyperparams(1e100, 16),
+            master_seed=12,
+        )
+        with pytest.raises(NonFiniteError, match=rf"^learner \d+ .*\(seed 12, {phase}\)$"):
+            run_experiment(cfg, data=task)
 
     def test_each_learner_evaluated_once_per_parameter_state(self, task, monkeypatch):
         # From round 2 on, a learner's test, train and validation outputs are

@@ -139,6 +139,17 @@ class TestForward:
             assert np.all(p >= PROB_FLOOR)
             assert abs(p.sum() - 1.0) <= 1e-9
 
+    def test_overflowing_logits_raise_naming_learner(self, small_spec, small_blobs):
+        learner = init_learner(small_spec, 3)
+        learner.params *= 1e200
+        # Overflow is reported by the exception alone, not by numpy warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"^learner 3 "):
+                forward_batch(learner, small_blobs.X)
+            with pytest.raises(NonFiniteError, match=r"^learner 3 "):
+                pseudolabels(learner, small_blobs.X.copy())
+
 
 @pytest.fixture
 def count_forwards(monkeypatch):
@@ -214,7 +225,8 @@ class TestForwardMemo:
         learner = init_learner(small_spec, 0)
         learner.params[0] = np.nan
         for _ in range(3):
-            forward_batch(learner, small_blobs.X)
+            with pytest.raises(NonFiniteError):
+                forward_batch(learner, small_blobs.X)
         assert len(count_forwards) == 3
 
     def test_memo_keeps_one_entry_per_dataset_array(self, small_spec, count_forwards):
@@ -330,6 +342,99 @@ def central_difference_gradient(spec, params, X, y, h=1e-5):
             - loss_and_gradient(spec, minus, X, y)[0]
         ) / (2 * h)
     return grad
+
+
+class TestViewMemo:
+    """loss_and_gradient reuses layer views for a repeated (params, out) pair."""
+
+    @staticmethod
+    def step(spec, params, out, blobs):
+        return loss_and_gradient(spec, params, blobs.X[:20], blobs.y[:20], out=out)
+
+    def test_same_pair_gets_same_views(self, small_spec, small_blobs):
+        params = init_learner(small_spec, 0).params
+        out = np.empty_like(params)
+        self.step(small_spec, params, out, small_blobs)
+        first = small_spec._views
+        self.step(small_spec, params, out, small_blobs)
+        assert small_spec._views is first
+        assert first[0] is params and first[1] is out
+        w, _ = first[2][0]
+        gw, _ = first[3][0]
+        assert np.shares_memory(w, params) and np.shares_memory(gw, out)
+
+    def test_in_place_param_edit_shows_in_next_call(self, small_spec, small_blobs):
+        params = init_learner(small_spec, 0).params
+        out = np.empty_like(params)
+        self.step(small_spec, params, out, small_blobs)
+        params[:] = init_learner(small_spec, 1).params
+        loss, grad = self.step(small_spec, params, out, small_blobs)
+        fresh_loss, fresh_grad = self.step(small_spec, params.copy(), None, small_blobs)
+        assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+
+    def test_new_out_buffer_gets_fresh_views(self, small_spec, small_blobs):
+        params = init_learner(small_spec, 0).params
+        self.step(small_spec, params, np.empty_like(params), small_blobs)
+        first = small_spec._views
+        out = np.full_like(params, np.nan)
+        _, grad = self.step(small_spec, params, out, small_blobs)
+        assert grad is out and small_spec._views[1] is out
+        assert small_spec._views[3] is not first[3]
+        assert np.array_equal(out, self.step(small_spec, params, None, small_blobs)[1])
+
+    def test_no_out_is_not_remembered(self, small_spec, small_blobs):
+        params = init_learner(small_spec, 0).params
+        self.step(small_spec, params, None, small_blobs)
+        assert small_spec._views[0] is None
+
+    def test_non_contiguous_params_always_unpack_fresh(self, small_spec, small_blobs):
+        n = param_count(small_spec)
+        big = np.repeat(init_learner(small_spec, 0).params, 2)
+        params = big[::2]
+        assert not params.flags.c_contiguous
+        out = np.empty(n)
+        expected = self.step(small_spec, params.copy(), None, small_blobs)
+        for _ in range(2):
+            loss, grad = self.step(small_spec, params, out, small_blobs)
+            assert small_spec._views[0] is None
+            assert loss == expected[0] and np.array_equal(grad, expected[1])
+        # An edit through the strided view shows in the next call.
+        params[:] = init_learner(small_spec, 1).params
+        _, grad = self.step(small_spec, params, out, small_blobs)
+        assert np.array_equal(grad, self.step(small_spec, params.copy(), None, small_blobs)[1])
+
+    def test_other_spec_with_same_param_count_gets_its_own_views(self, small_spec, small_blobs):
+        other = ModelSpec(layer_widths=(6, 4, 3), seed=small_spec.seed)
+        assert param_count(other) == param_count(small_spec)
+        params = init_learner(small_spec, 0).params
+        out = np.empty_like(params)
+        self.step(small_spec, params, out, small_blobs)
+        X = np.random.default_rng(0).normal(size=(9, 6))
+        y = np.arange(9) % 3
+        loss, grad = loss_and_gradient(other, params, X, y, out=out)
+        assert other._views[2][0][0].shape == (6, 4)
+        assert small_spec._views[2][0][0].shape == (4, 5)
+        fresh_loss, fresh_grad = loss_and_gradient(other, params.copy(), X, y)
+        assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+
+    def test_wrong_shape_still_raises(self, small_spec, small_blobs):
+        params = init_learner(small_spec, 0).params
+        out = np.empty_like(params)
+        self.step(small_spec, params, out, small_blobs)
+        with pytest.raises(ValueError, match="flat vector"):
+            self.step(small_spec, params, np.empty(len(params) + 1), small_blobs)
+        with pytest.raises(ValueError, match="flat vector"):
+            self.step(small_spec, np.append(params, 0.0), out, small_blobs)
+        # The remembered array itself, reshaped in place, is rejected too.
+        params.shape = (1, len(out))
+        with pytest.raises(ValueError, match="flat vector"):
+            self.step(small_spec, params, out, small_blobs)
+
+    def test_copies_of_a_spec_start_without_views(self, small_spec, small_blobs):
+        learner = init_learner(small_spec, 0)
+        self.step(small_spec, learner.params, np.empty_like(learner.params), small_blobs)
+        twin = copy.deepcopy(learner)
+        assert twin.spec == small_spec and twin.spec._views[0] is None
 
 
 class TestGradient:

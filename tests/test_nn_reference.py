@@ -183,3 +183,23 @@ def test_forward_batch_with_equal_logits_matches_reference(widths):
     p = forward_batch(learner, ds.X)
     assert np.array_equal(p, ref_forward_batch(learner, ds.X))
     assert np.all(p == p[:, :1])
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+def test_one_out_buffer_across_sgd_steps_matches_reference(widths):
+    # The spec keeps views of (params, out); in-place updates must show.
+    ds = blobs_for(widths, seed=23)
+    spec = ModelSpec(layer_widths=widths, seed=5)
+    params = init_learner(spec, 2).params
+    twin = params.copy()
+    buf = np.empty_like(params)
+    for start in range(0, len(ds), 16):
+        X, y = ds.X[start : start + 16], ds.y[start : start + 16]
+        loss, grad = loss_and_gradient(spec, params, X, y, out=buf)
+        ref_loss, ref_grad = ref_loss_and_gradient(spec, twin, X, y)
+        assert grad is buf and loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        params -= 0.05 * grad
+        twin -= 0.05 * ref_grad
+    assert spec._views[0] is params
+    assert np.array_equal(params, twin)

@@ -1,0 +1,87 @@
+"""Byte-identity matrix: run a fixed grid of nkdiff configs, print CSV digests.
+
+Usage, from the root of a source checkout::
+
+    python3 tools/csv_matrix.py OUT > digests.txt
+
+OUT must not exist yet. The script imports nkdiff from ``src/`` of the
+checkout it sits in, runs 23 ``nkdiff run`` commands into OUT and prints one
+``sha256  path`` line per CSV written (75 in all), with paths relative to
+OUT, sorted. To check that a change leaves every output float as it was, run
+it on two checkouts and ``diff`` the two listings. The grid:
+
+- a default ``nkdiff run`` (``btb``, C=2, 10 rounds, 5 seeds);
+- the three configs of acceptance criterion 3 (``btb`` and ``pom`` at C=2,
+  ``oo`` at C=5 with warm-up; 4 rounds, 2 seeds, a small blobs task);
+- 15-round, 2-seed runs of the 5 policies x warm-up off/on x hidden widths
+  [16] and [12, 8], at C=2 on the default task.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from nkdiff.cli import main as cli_main  # noqa: E402
+
+CRITERION_3_BLOBS = {
+    "n_per_class": 60,
+    "k": 3,
+    "d": 4,
+    "centers_scale": 2.0,
+    "noise_sigma": 0.8,
+    "seed": 3,
+    "train_frac": 0.6,
+    "val_frac": 0.2,
+}
+
+
+def grid() -> list[tuple[str, dict]]:
+    """(directory name, config) for every run of the matrix."""
+    runs: list[tuple[str, dict]] = [("default", {})]
+    small = {"n": 10, "rounds": 4, "seeds": 2, "blobs": CRITERION_3_BLOBS}
+    runs += [
+        ("c3_btb", {**small, "policy": "btb", "c": 2}),
+        ("c3_pom", {**small, "policy": "pom", "c": 2}),
+        ("c3_oo", {**small, "policy": "oo", "c": 5, "pretrain": True}),
+    ]
+    policies = ("oo", "pom", "rgbt", "btb", "eq")
+    for policy, pretrain, hidden in itertools.product(policies, (False, True), ([16], [12, 8])):
+        name = f"{policy}_pre{'on' if pretrain else 'off'}_h{'x'.join(map(str, hidden))}"
+        config = {"policy": policy, "c": 2, "rounds": 15, "seeds": 2,
+                  "pretrain": pretrain, "hidden_widths": hidden}
+        runs.append((name, config))
+    return runs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="output directory; must not exist")
+    args = parser.parse_args(argv)
+    if args.out.exists():
+        parser.error(f"{args.out} already exists")
+    args.out.mkdir(parents=True)
+    for name, config in grid():
+        path = args.out / f"{name}.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["run", "--config", str(path), "--out", str(args.out / name)])
+        if code != 0:
+            print(f"run {name} exited {code}", file=sys.stderr)
+            return 1
+    for csv in sorted(args.out.rglob("*.csv")):
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+        print(f"{digest}  {csv.relative_to(args.out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
