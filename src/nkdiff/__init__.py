@@ -21,7 +21,6 @@ from .data import (
 from .engine import (
     ExperimentConfig,
     ResourceLedger,
-    RoundStats,
     policy_stream,
     prepare_data,
     run_experiment,

@@ -16,8 +16,9 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,41 +35,35 @@ EXIT_NUMERIC = 4
 
 RUN_CSV_HEADER = "round,oracle_sessions,forward_ops,alacc_test,ensacc_test,alacc_train,ensacc_val"
 
-DEFAULT_CONFIG: dict = {
-    "policy": "btb",
-    "n": 10,
-    "c": 2,
-    "rounds": 10,
-    "seeds": 5,
-    "master_seed": 0,
-    "pretrain": False,
-    "noise": 0.0,
-    "random_labels": False,
-    "noise_seed": 97,
-    "dataset": "blobs",
-    "blobs": {
-        "n_per_class": 334,
-        "k": 3,
-        "d": 10,
-        "centers_scale": 1.0,
-        "noise_sigma": 1.5,
-        "seed": 7,
-        "train_frac": 0.6,
-        "val_frac": 0.2,
-    },
-    "idx": None,
-    "hidden_widths": [16],
-    "learning_rate": 0.005,
-    "batch_size": 32,
-    "shuffle": True,
+# Every config key with its JSON type and its default. float is any JSON
+# number a float holds, [int] a list of integers, and a dataclass a nested
+# section typed by its fields. A None default leaves the key unset.
+SCHEMA: dict = {
+    "policy": (str, "btb"),
+    "n": (int, 10),
+    "c": (int, 2),
+    "rounds": (int, 10),
+    "seeds": (int, 5),
+    "master_seed": (int, 0),
+    "pretrain": (bool, False),
+    "noise": (float, 0.0),
+    "random_labels": (bool, False),
+    "noise_seed": (int, 97),
+    "dataset": (str, "blobs"),
+    "blobs": (BlobsSpec, asdict(BlobsSpec())),
+    "idx": (IdxSpec, None),
+    "hidden_widths": ([int], [16]),
+    "learning_rate": (float, 0.005),
+    "batch_size": (int, 32),
+    "shuffle": (bool, True),
+    "out": (str, None),
 }
+DEFAULT_CONFIG = {key: default for key, (_, default) in SCHEMA.items()}
 
-SWEEP_AXES = ("policies", "capacities", "pretraining", "noise_levels")
+# Sweep axis -> the config key each of its entries sets, in grid order.
+SWEEP_AXES = {"policies": "policy", "capacities": "c", "pretraining": "pretrain", "noise_levels": "noise"}
 
-# Keys whose values must be JSON booleans, integers or numbers; a boolean is never a number.
-BOOL_KEYS = ("pretrain", "random_labels", "shuffle")
-INT_KEYS = ("n", "c", "rounds", "seeds", "master_seed", "noise_seed", "batch_size")
-FLOAT_KEYS = ("noise", "learning_rate")
+_TYPE_NAMES = {bool: "true or false", int: "a 64-bit integer", float: "a number", str: "a string"}
 
 
 @dataclass
@@ -133,76 +128,109 @@ def merge_config(base: dict, *layers: dict) -> dict:
     return merged
 
 
-def _check_keys(config: dict, allowed: set[str], context: str) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown {context} keys: {sorted(unknown)}")
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value has type ``kind``; a boolean is never a number."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:  # a number a float holds: not NaN, infinite or a larger integer
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is int:  # an integer numpy holds
+        return isinstance(value, int) and -(2**63) <= value < 2**63
+    return isinstance(value, kind)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check(value, kind, path: str) -> None:
+    """Raise ConfigurationError naming ``path`` unless ``value`` has the JSON type ``kind``."""
+    if is_dataclass(kind):
+        kind = get_type_hints(kind)
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path} must be an object, got {value!r}")
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigurationError(f"unknown {path or 'config'} keys: {unknown}")
+        for key, item in value.items():
+            _check(item, kind[key], f"{path}.{key}" if path else key)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{path}[{i}]")
+    elif not _fits(value, kind):
+        raise ConfigurationError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
-def _check_types(config: dict) -> None:
-    """Require JSON booleans, integers and numbers where Python would coerce silently."""
-    for key in BOOL_KEYS:
-        if not isinstance(config[key], bool):
-            raise ConfigurationError(f"{key} must be true or false, got {config[key]!r}")
-    for key in INT_KEYS:
-        if not _is_int(config[key]):
-            raise ConfigurationError(f"{key} must be an integer, got {config[key]!r}")
-    for key in FLOAT_KEYS:
-        if not (_is_int(config[key]) or isinstance(config[key], float)):
-            raise ConfigurationError(f"{key} must be a number, got {config[key]!r}")
-    widths = config["hidden_widths"]
-    if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
-        raise ConfigurationError(f"hidden_widths must be a list of integers, got {widths!r}")
+def check_config(config: dict, sweep: bool) -> None:
+    """Check every key of a resolved config against SCHEMA, once.
+
+    Only a sweep may carry axes; each is a non-empty list of distinct values
+    of its key's type. Ranges are left to the classes the values configure.
+    """
+    axes = [axis for axis in SWEEP_AXES if axis in config]
+    if axes and not sweep:
+        raise ConfigurationError(f"sweep axes {axes} are only read by nkdiff sweep")
+    # None marks an unset key: merge_config never sets one from a layer.
+    given = {k: v for k, v in config.items() if k not in SWEEP_AXES and v is not None}
+    _check(given, {key: kind for key, (kind, _) in SCHEMA.items()}, "")
+    for axis in axes:
+        values, key = config[axis], SWEEP_AXES[axis]
+        if not isinstance(values, list) or not values:
+            raise ConfigurationError(f"sweep axis {axis} must be a non-empty list, got {values!r}")
+        for value in values:
+            _check(value, SCHEMA[key][0], f"{axis}: {key}")
+        # Policy names are case-insensitive.
+        folded = [v.lower() if isinstance(v, str) else v for v in values]
+        if len(set(folded)) < len(folded):
+            raise ConfigurationError(f"sweep axis {axis} repeats an entry: {values!r}")
 
 
-def build_experiment_config(config: dict, master_seed: int) -> ExperimentConfig:
-    """Translate one resolved config dict into an ExperimentConfig."""
-    _check_keys(config, set(DEFAULT_CONFIG) | set(SWEEP_AXES) | {"out"}, "config")
-    _check_types(config)
-    try:
-        noise = float(config["noise"])
-        random_labels = config["random_labels"]
-        if noise and random_labels:
-            raise ConfigurationError("noise and random_labels are mutually exclusive")
-        corruption = None
-        if random_labels:
-            corruption = CorruptionSpec(fraction=1.0, mode="full_random", seed=config["noise_seed"])
-        elif noise > 0.0:
-            corruption = CorruptionSpec(fraction=noise, mode="uniform_replace", seed=config["noise_seed"])
+def build_experiments(config: dict) -> list[ExperimentConfig]:
+    """One ExperimentConfig per seed of a checked config dict.
 
-        if config["dataset"] == "blobs":
-            dataset = BlobsSpec(**config["blobs"])
-        elif config["dataset"] == "idx":
-            if not config.get("idx"):
-                raise ConfigurationError("dataset 'idx' needs an 'idx' section with file paths")
-            dataset = IdxSpec(**config["idx"])
-        else:
-            raise ConfigurationError(f"unknown dataset {config['dataset']!r}, expected blobs or idx")
+    The classes it builds raise ValueError for values out of range.
+    """
+    if config["seeds"] < 1:
+        raise ConfigurationError("seeds must be at least 1")
+    noise, random_labels = config["noise"], config["random_labels"]
+    if noise and random_labels:
+        raise ConfigurationError("noise and random_labels are mutually exclusive")
+    corruption = None
+    if random_labels:
+        corruption = CorruptionSpec(fraction=1.0, mode="full_random", seed=config["noise_seed"])
+    elif noise:
+        corruption = CorruptionSpec(fraction=noise, mode="uniform_replace", seed=config["noise_seed"])
 
-        return ExperimentConfig(
-            policy=str(config["policy"]).lower(),
+    if config["dataset"] == "blobs":
+        dataset = BlobsSpec(**config["blobs"])
+    elif config["dataset"] == "idx":
+        section = config["idx"] or {}
+        missing = [f.name for f in fields(IdxSpec) if f.default is MISSING and f.name not in section]
+        if missing:
+            raise ConfigurationError(f"dataset 'idx' needs {missing} in its 'idx' section")
+        dataset = IdxSpec(**section)
+    else:
+        raise ConfigurationError(f"unknown dataset {config['dataset']!r}, expected blobs or idx")
+
+    hyperparams = TrainHyperparams(
+        learning_rate=config["learning_rate"],
+        batch_size=config["batch_size"],
+        shuffle=config["shuffle"],
+    )
+    return [
+        ExperimentConfig(
+            policy=config["policy"].lower(),
             n_models=config["n"],
             capacity=config["c"],
             rounds=config["rounds"],
             pretrain=config["pretrain"],
             hidden_widths=tuple(config["hidden_widths"]),
-            hyperparams=TrainHyperparams(
-                learning_rate=float(config["learning_rate"]),
-                batch_size=config["batch_size"],
-                shuffle=config["shuffle"],
-            ),
+            hyperparams=hyperparams,
             dataset=dataset,
             corruption=corruption,
-            master_seed=master_seed,
+            master_seed=config["master_seed"] + i,
         )
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(str(exc)) from exc
+        for i in range(config["seeds"])
+    ]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -251,33 +279,22 @@ def format_agg_csv(runs: list[list[MetricsRecord]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def execute_run(config: dict, out_dir: Path) -> list[list[MetricsRecord]]:
-    """Run every seed of a resolved config and write its output directory."""
-    _check_types(config)
-    if config["seeds"] < 1:
-        raise ConfigurationError("seeds must be at least 1")
-    seeds = [config["master_seed"] + i for i in range(config["seeds"])]
-    # Validate before any training or I/O.
-    experiment_cfgs = [build_experiment_config(config, seed) for seed in seeds]
-
-    try:
-        data = prepare_data(experiment_cfgs[0])
-    except IdxFormatError:
-        raise
-    except ValueError as exc:
-        raise ConfigurationError(f"dataset: {exc}") from exc
-
+def execute_run(
+    config: dict, out_dir: Path, experiments: list[ExperimentConfig]
+) -> list[list[MetricsRecord]]:
+    """Run the per-seed experiments of a checked config and write its output directory."""
+    data = prepare_data(experiments[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
-    for seed, cfg in zip(seeds, experiment_cfgs):
+    for cfg in experiments:
         records = run_experiment(cfg, data=data)
-        _write_atomic(out_dir / f"run_{seed}.csv", format_run_csv(records))
+        _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
         runs.append(records)
     _write_atomic(out_dir / "agg.csv", format_agg_csv(runs))
     manifest = RunManifest(
         config={k: v for k, v in config.items() if k != "out"},
         config_hash=config_hash(config),
-        seeds=seeds,
+        seeds=[cfg.master_seed for cfg in experiments],
         out_dir=str(out_dir),
     )
     _write_atomic(out_dir / "manifest.json", manifest.to_json() + "\n")
@@ -286,7 +303,7 @@ def execute_run(config: dict, out_dir: Path) -> list[list[MetricsRecord]]:
 
 def cmd_run(config: dict) -> int:
     out_dir = Path(config.get("out") or "out")
-    execute_run(config, out_dir)
+    execute_run(config, out_dir, build_experiments(config))
     print(f"wrote {out_dir}/run_<seed>.csv, agg.csv, manifest.json")
     return EXIT_OK
 
@@ -299,46 +316,36 @@ def _cell_name(policy: str, c: int, pretrain: bool, noise: float, random_labels:
 
 
 def cmd_sweep(config: dict) -> int:
-    for axis in SWEEP_AXES:
-        if axis in config and not config[axis]:
-            raise ConfigurationError(f"sweep axis {axis!r} is empty")
-    policies = [str(p).lower() for p in config.get("policies") or [config["policy"]]]
-    capacities = config.get("capacities") or [config["c"]]
-    pretraining = config.get("pretraining") or [config["pretrain"]]
-    noise_levels = config.get("noise_levels") or [config["noise"]]
-    for c, pretrain, noise in itertools.product(capacities, pretraining, noise_levels):
-        _check_types({**config, "c": c, "pretrain": pretrain, "noise": noise})
-    noise_levels = [float(x) for x in noise_levels]
+    base = {k: v for k, v in config.items() if k not in SWEEP_AXES}
+    grid = [config.get(axis, [config[key]]) for axis, key in SWEEP_AXES.items()]
+    # Every cell is validated before the first one runs and writes.
+    planned = []
+    for policy, c, pretrain, noise in itertools.product(*grid):
+        cell = merge_config(base, {"policy": policy.lower(), "c": c, "pretrain": pretrain, "noise": noise})
+        name = _cell_name(cell["policy"], c, pretrain, noise, cell["random_labels"])
+        try:
+            planned.append((name, cell, build_experiments(cell)))
+        except ValueError as exc:
+            print(f"skipping cell {name}: {exc}", file=sys.stderr)
+    if not planned:
+        raise ConfigurationError("sweep produced no valid cells")
 
     # The first cell's execute_run creates out_dir after building its data,
-    # so a sweep that fails on bad data or skips every cell writes nothing.
+    # so a sweep that fails on bad data writes nothing.
     out_dir = Path(config.get("out") or "out")
     summary_rows = []
-    for policy, c, pretrain, noise in itertools.product(
-        policies, capacities, pretraining, noise_levels
-    ):
-        cell = merge_config(
-            config, {"policy": policy, "c": c, "pretrain": pretrain, "noise": noise}
-        )
-        for axis in SWEEP_AXES:
-            cell.pop(axis, None)
-        name = _cell_name(policy, c, pretrain, noise, bool(cell["random_labels"]))
-        try:
-            build_experiment_config(cell, cell["master_seed"])
-        except ConfigurationError as exc:
-            print(f"skipping cell {name}: {exc}", file=sys.stderr)
-            continue
-        runs = execute_run(cell, out_dir / name)
+    for name, cell, experiments in planned:
+        runs = execute_run(cell, out_dir / name, experiments)
         final = [run[-1] for run in runs]
         alacc = np.array([[rec.alacc_test for rec in run] for run in runs]).mean(axis=0)
         ensacc = np.array([[rec.ensacc_test for rec in run] for run in runs]).mean(axis=0)
         summary_rows.append(
             {
                 "cell": name,
-                "policy": policy,
-                "c": c,
-                "pretrain": int(pretrain),
-                "noise": noise,
+                "policy": cell["policy"],
+                "c": cell["c"],
+                "pretrain": int(cell["pretrain"]),
+                "noise": float(cell["noise"]),
                 "final_round": final[0].round,
                 "final_alacc_test": float(np.mean([r.alacc_test for r in final])),
                 "final_ensacc_test": float(np.mean([r.ensacc_test for r in final])),
@@ -346,8 +353,6 @@ def cmd_sweep(config: dict) -> int:
                 "best_ensacc_test": float(ensacc.max()),
             }
         )
-    if not summary_rows:
-        raise ConfigurationError("sweep produced no valid cells")
     header = list(summary_rows[0])
     lines = [",".join(header)]
     for row in summary_rows:
@@ -362,29 +367,10 @@ def cmd_sweep(config: dict) -> int:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.c is not None:
-        overrides["c"] = args.c
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
+    """The config keys set by flags; an absent flag is None, which merge_config skips."""
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     if args.pretrain is not None:
         overrides["pretrain"] = args.pretrain == "on"
-    if args.noise is not None:
-        overrides["noise"] = args.noise
-    if args.random_labels:
-        overrides["random_labels"] = True
-    if args.dataset is not None:
-        overrides["dataset"] = args.dataset
-    if args.master_seed is not None:
-        overrides["master_seed"] = args.master_seed
-    if args.out is not None:
-        overrides["out"] = args.out
     return overrides
 
 
@@ -398,7 +384,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--master-seed", type=int)
     parser.add_argument("--pretrain", choices=("on", "off"))
     parser.add_argument("--noise", type=float, help="label corruption fraction")
-    parser.add_argument("--random-labels", action="store_true", help="replace all training labels with random ones")
+    parser.add_argument("--random-labels", action="store_true", default=None, help="replace all training labels with random ones")
     parser.add_argument("--dataset", choices=("blobs", "idx"))
     parser.add_argument("--out", help="output directory")
 
@@ -421,15 +407,17 @@ def main(argv: list[str] | None = None) -> int:
             layers.append(load_config_file(args.config))
         layers.append(_overrides_from_args(args))
         config = merge_config(*layers)
+        check_config(config, sweep=args.command == "sweep")
         if args.command == "run":
             return cmd_run(config)
         return cmd_sweep(config)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (IdxFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # ConfigurationError, and the range checks of the classes a config builds.
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -65,12 +65,6 @@ class ResourceLedger:
     rounds_completed: int = 0
 
 
-@dataclass
-class RoundStats:
-    executed_sessions: int
-    oracle_sessions: int
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; fully determines its output.
@@ -99,6 +93,8 @@ class ExperimentConfig:
             raise ConfigurationError("rounds must be at least 1")
         if self.n_models < 2:
             raise ConfigurationError("population needs at least 2 models")
+        if any(w < 1 for w in self.hidden_widths):
+            raise ConfigurationError(f"hidden widths must be positive, got {list(self.hidden_widths)}")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative")
 
@@ -146,7 +142,7 @@ def run_round(
     capacity: int | None = None,
     master_seed: int | None = None,
     round_index: int = 0,
-) -> RoundStats:
+) -> None:
     """Execute every session of a plan and charge the ledger.
 
     Teacher labels are computed once per teacher from pre-round
@@ -176,11 +172,9 @@ def run_round(
             learner.rng = session_stream(master_seed, round_index, learner.id)
         run_session(teacher, learner, train.X, hp, labels=label_cache[teacher.id])
 
-    oracle_sessions = sum(1 for teacher, _ in sessions if teacher.is_oracle)
-    ledger.oracle_sessions += oracle_sessions
+    ledger.oracle_sessions += sum(1 for teacher, _ in sessions if teacher.is_oracle)
     ledger.forward_ops += len(train) * len(sessions)
     ledger.rounds_completed += 1
-    return RoundStats(executed_sessions=len(sessions), oracle_sessions=oracle_sessions)
 
 
 def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index: int) -> RoundPlan:

@@ -291,9 +291,10 @@ def loss_and_gradient(
     The gradient is exact backprop; the loss uses a numerically stable
     log-softmax so finite-difference checks agree to high precision.
 
-    ``out``, if given, is a float64 vector shaped like ``params``; the
-    gradient is written into it, overwriting every entry, and it is returned
-    in place of a fresh array. Labels must lie in [0, K).
+    ``out``, if given, must be a C-contiguous float64 vector shaped like
+    ``params`` (ValueError otherwise); the gradient is written into it,
+    overwriting every entry, and it is returned in place of a fresh array.
+    Labels must lie in [0, K).
 
     The spec keeps the layer views of the last C-contiguous (``params``,
     ``out``) pair, so a loop that passes the same two arrays builds them once.
@@ -305,8 +306,16 @@ def loss_and_gradient(
     if memo[0] is params and memo[1] is grad and params.shape == grad.shape == (spec._n_params,):
         layers, grads = memo[2], memo[3]
     else:
+        # A remembered out passed this check when it was remembered.
+        if out is not None and not (
+            out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 flat vector of {spec._n_params} "
+                f"parameters, got {out.dtype} of shape {out.shape}"
+            )
         layers, grads = unpack_params(spec, params), unpack_params(spec, grad)
-        if out is not None and params.flags.c_contiguous and out.flags.c_contiguous:
+        if out is not None and params.flags.c_contiguous:
             object.__setattr__(spec, "_views", (params, out, layers, grads))
     acts = _activations(layers, X)
 

@@ -1,12 +1,18 @@
 """Unit tests for the command-line front-end and its CSV outputs."""
 
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkdiff import write_idx
 from nkdiff.cli import (
@@ -15,6 +21,8 @@ from nkdiff.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     RUN_CSV_HEADER,
+    SCHEMA,
+    SWEEP_AXES,
     config_hash,
     main,
     merge_config,
@@ -319,3 +327,170 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 4
+
+
+INT_IDX_PATHS = {"train_images": 1, "train_labels": 2, "test_images": 3, "test_labels": 4}
+
+
+class TestBadInputs:
+    """Each bad config exits 2 with one line naming the key, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, bad, named",
+        [
+            ("run", {"blobs": {"n_per_class": 3.5}}, "blobs.n_per_class"),
+            ("run", {"blobs": {"seed": "x"}}, "blobs.seed"),
+            ("run", {"blobs": {"train_frac": "0.5"}}, "blobs.train_frac"),
+            ("run", {"blobs": {"noise_sigma": None}}, "blobs.noise_sigma"),
+            ("run", {"out": 5}, "out"),
+            ("sweep", {"capacities": 2}, "capacities"),
+            ("sweep", {"noise_levels": 0.1}, "noise_levels"),
+            ("sweep", {"policies": "btb"}, "policies"),
+            ("sweep", {"pretraining": "yes"}, "pretraining"),
+            ("run", {"noise": -0.1}, "-0.1"),
+            ("run", {"hidden_widths": [0]}, "hidden widths"),
+            ("run", {"dataset": "idx", "idx": INT_IDX_PATHS}, "idx.train_images"),
+            ("run", {"dataset": "idx", "idx": {"train_images": "a.idx"}}, "test_labels"),
+            ("run", {"policies": ["btb"]}, "policies"),
+            ("run", {"capacities": [2]}, "capacities"),
+            ("run", {"pretraining": [True]}, "pretraining"),
+            ("run", {"noise_levels": [0.0]}, "noise_levels"),
+            ("sweep", {"policies": ["btb", "BTB"]}, "policies"),
+            ("sweep", {"capacities": [2, 2]}, "capacities"),
+            ("run", {"blobs": {"sigma": 1.0}}, "sigma"),
+            ("run", {"learning_rate": float("inf")}, "learning_rate"),
+            ("run", {"learning_rate": 10**400}, "learning_rate"),
+            ("run", {"blobs": {"n_per_class": 10**20}}, "blobs.n_per_class"),
+        ],
+        ids=[
+            "blobs_n_per_class_float",
+            "blobs_seed_string",
+            "blobs_train_frac_string",
+            "blobs_noise_sigma_null",
+            "out_integer",
+            "capacities_scalar",
+            "noise_levels_scalar",
+            "policies_string",
+            "pretraining_string",
+            "noise_negative",
+            "hidden_width_zero",
+            "idx_paths_integer",
+            "idx_paths_missing",
+            "run_policies_axis",
+            "run_capacities_axis",
+            "run_pretraining_axis",
+            "run_noise_levels_axis",
+            "policies_repeat_ignoring_case",
+            "capacities_repeat",
+            "blobs_unknown_key",
+            "learning_rate_infinite",
+            "learning_rate_integer_beyond_float",
+            "blobs_n_per_class_beyond_int64",
+        ],
+    )
+    def test_exits_2_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys, command, bad, named):
+        # No --out: the run would write to ./out, so every file it left would show.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blobs": FAST_BLOBS, "rounds": 1, "seeds": 1, "n": 4, **bad}))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_integer_idx_paths_leave_stdout_open(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": "idx", "idx": INT_IDX_PATHS, "seeds": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        os.fstat(1)
+        assert not out.exists()
+
+
+# Any JSON value, small enough that a well-typed one keeps a run tiny.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(-2.0, 2.0),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+POLICY_NAMES = st.sampled_from(["oo", "pom", "rgbt", "btb", "eq", "BTB", "bogus"])
+IDX_PATHS = st.sampled_from(["missing.idx", ""])
+
+
+def _either(well_typed):
+    return st.one_of(well_typed, JSON_VALUES)
+
+
+def _section(required, optional):
+    return st.fixed_dictionaries(required, optional={k: _either(v) for k, v in optional.items()})
+
+
+FUZZ_KEYS = {
+    "policy": POLICY_NAMES,
+    "n": st.integers(-1, 6),
+    "c": st.integers(-1, 6),
+    "rounds": st.integers(0, 1),
+    "seeds": st.integers(0, 1),
+    "master_seed": st.integers(-1, 3),
+    "pretrain": st.booleans(),
+    "noise": st.floats(-0.5, 1.5),
+    "random_labels": st.booleans(),
+    "noise_seed": st.integers(-1, 3),
+    "dataset": st.sampled_from(["blobs", "idx", "csv"]),
+    "blobs": _section(
+        {},
+        {
+            "n_per_class": st.integers(0, 12),
+            "k": st.integers(1, 4),
+            "d": st.integers(0, 4),
+            "centers_scale": st.floats(-3.0, 3.0),
+            "noise_sigma": st.floats(-1.0, 2.0),
+            "seed": st.integers(-1, 9),
+            "train_frac": st.floats(0.0, 1.0),
+            "val_frac": st.floats(0.0, 1.0),
+        }
+    ),
+    "idx": _section(
+        {
+            "train_images": IDX_PATHS,
+            "train_labels": IDX_PATHS,
+            "test_images": IDX_PATHS,
+            "test_labels": IDX_PATHS,
+        },
+        {"val_frac": st.floats(0.0, 1.0), "seed": st.integers(-1, 3)},
+    ),
+    "hidden_widths": st.lists(st.integers(0, 5), max_size=2),
+    "learning_rate": st.floats(-0.1, 1e6),
+    "batch_size": st.integers(0, 20),
+    "shuffle": st.booleans(),
+    "out": st.text(max_size=3),
+    "policies": st.lists(POLICY_NAMES, min_size=0, max_size=2),
+    "capacities": st.lists(st.integers(1, 4), max_size=2),
+    "pretraining": st.lists(st.booleans(), max_size=2),
+    "noise_levels": st.lists(st.floats(-0.2, 1.2), max_size=2),
+}
+TINY_BLOBS = {**FAST_BLOBS, "n_per_class": 10}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["run", "sweep"]), data=st.data())
+    def test_any_config_ends_with_a_known_exit_code(self, command, data):
+        assert set(FUZZ_KEYS) == set(SCHEMA) | set(SWEEP_AXES)
+        keys = data.draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=4, unique=True))
+        fuzzed = {key: data.draw(_either(FUZZ_KEYS[key]), label=key) for key in keys}
+        config = {"blobs": TINY_BLOBS, "rounds": 1, "seeds": 1, "n": 4, "batch_size": 8, **fuzzed}
+        if isinstance(fuzzed.get("blobs"), dict):
+            config["blobs"] = {**TINY_BLOBS, **fuzzed["blobs"]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as f:
+                json.dump(config, f)
+            argv = [command, "--config", path, "--out", os.path.join(tmp, "out")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)

@@ -84,9 +84,7 @@ class TestRunRoundAccounting:
 
         plan = group_btb(rank_models(evaluate_validation(pop, val)), 5)
         ledger = ResourceLedger()
-        stats = run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=5)
-        assert stats.executed_sessions == 8
-        assert stats.oracle_sessions == 4
+        assert run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=5) is None
         assert ledger.oracle_sessions == 4
         assert ledger.forward_ops == 8 * len(train)
         assert ledger.rounds_completed == 1
@@ -98,9 +96,9 @@ class TestRunRoundAccounting:
 
         plan = group_oo(10, 10, np.random.default_rng(0))
         ledger = ResourceLedger()
-        stats = run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=10)
-        assert stats.oracle_sessions == 9
-        assert stats.executed_sessions == 9
+        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=10)
+        assert ledger.oracle_sessions == 9
+        assert ledger.forward_ops == 9 * len(train)
 
     def test_pom_skips_oracle_learning(self, task):
         train, _, _ = task
@@ -110,9 +108,8 @@ class TestRunRoundAccounting:
         plan = group_pom(10, np.random.default_rng(0))
         assert len(plan.groups) == 10  # planned sessions incl. oracle's own
         ledger = ResourceLedger()
-        stats = run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=2)
-        assert stats.executed_sessions == 9
-        assert stats.oracle_sessions == 1
+        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=2)
+        assert ledger.oracle_sessions == 1
         assert ledger.forward_ops == 9 * len(train)
 
     def test_capacity_enforced_at_execution(self, task):
@@ -300,10 +297,10 @@ class TestRunExperiment:
             round_starts.append(computed[0])
             return real_make_plan(*args, **kwargs)
 
-        def recording_run_round(*args, **kwargs):
-            stats = real_run_round(*args, **kwargs)
-            sessions.append(stats.executed_sessions)
-            return stats
+        def recording_run_round(pop, plan, train, hp, ledger, **kwargs):
+            before = ledger.forward_ops
+            real_run_round(pop, plan, train, hp, ledger, **kwargs)
+            sessions.append((ledger.forward_ops - before) // len(train))
 
         monkeypatch.setattr(nn, "_activations", counting_activations)
         monkeypatch.setattr(engine, "_make_plan", marking_make_plan)

@@ -430,6 +430,21 @@ class TestViewMemo:
         with pytest.raises(ValueError, match="flat vector"):
             self.step(small_spec, params, out, small_blobs)
 
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda n: np.empty(2 * n)[::2],
+            lambda n: np.empty(n, dtype=np.float32),
+            lambda n: np.empty((1, n)),
+        ],
+        ids=["strided", "float32", "row_matrix"],
+    )
+    def test_unfit_out_buffer_is_rejected_naming_out(self, small_spec, small_blobs, make_out):
+        params = init_learner(small_spec, 0).params
+        with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 flat vector"):
+            self.step(small_spec, params, make_out(len(params)), small_blobs)
+        assert small_spec._views[0] is None
+
     def test_copies_of_a_spec_start_without_views(self, small_spec, small_blobs):
         learner = init_learner(small_spec, 0)
         self.step(small_spec, learner.params, np.empty_like(learner.params), small_blobs)
