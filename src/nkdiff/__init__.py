@@ -48,6 +48,7 @@ from .nn import (
     TrainHyperparams,
     forward,
     forward_batch,
+    forward_stack,
     init_learner,
     loss_and_gradient,
     param_count,

@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import BlobsSpec, CorruptionSpec, IdxFormatError, IdxSpec
+from .data import BlobsSpec, CorruptionSpec, Dataset, IdxFormatError, IdxSpec, build_datasets
 from .engine import ExperimentConfig, prepare_data, run_experiment
 from .metrics import AGG_FIELDS, MetricsRecord, aggregate_seeds
 from .nn import NonFiniteError, TrainHyperparams
@@ -280,10 +280,17 @@ def format_agg_csv(runs: list[list[MetricsRecord]]) -> str:
 
 
 def execute_run(
-    config: dict, out_dir: Path, experiments: list[ExperimentConfig]
+    config: dict,
+    out_dir: Path,
+    experiments: list[ExperimentConfig],
+    datasets: tuple[Dataset, Dataset, Dataset] | None = None,
 ) -> list[list[MetricsRecord]]:
-    """Run the per-seed experiments of a checked config and write its output directory."""
-    data = prepare_data(experiments[0])
+    """Run the per-seed experiments of a checked config and write its output directory.
+
+    ``datasets`` may give the config's (train, val, test) already built and
+    not yet corrupted. The data is ready and checked before out_dir exists.
+    """
+    data = prepare_data(experiments[0], datasets)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     for cfg in experiments:
@@ -330,12 +337,13 @@ def cmd_sweep(config: dict) -> int:
     if not planned:
         raise ConfigurationError("sweep produced no valid cells")
 
-    # The first cell's execute_run creates out_dir after building its data,
-    # so a sweep that fails on bad data writes nothing.
+    # No axis changes the dataset, so it is built once, before anything is
+    # written; each cell applies its own label corruption to it.
+    datasets = build_datasets(planned[0][2][0].dataset)
     out_dir = Path(config.get("out") or "out")
     summary_rows = []
     for name, cell, experiments in planned:
-        runs = execute_run(cell, out_dir / name, experiments)
+        runs = execute_run(cell, out_dir / name, experiments, datasets)
         final = [run[-1] for run in runs]
         alacc = np.array([[rec.alacc_test for rec in run] for run in runs]).mean(axis=0)
         ensacc = np.array([[rec.ensacc_test for rec in run] for run in runs]).mean(axis=0)
@@ -413,6 +421,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_sweep(config)
     except (IdxFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        # A well-typed config can still ask for more data than memory holds.
+        print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         # ConfigurationError, and the range checks of the classes a config builds.

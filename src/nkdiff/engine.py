@@ -30,6 +30,7 @@ from .nn import (
     NonFiniteError,
     SessionStats,
     TrainHyperparams,
+    forward_stack,
     pseudolabels,
     train_epoch,
 )
@@ -183,6 +184,9 @@ def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index
         return group_oo(cfg.n_models, cfg.capacity, rng)
     if cfg.policy == "pom":
         return group_pom(cfg.n_models, rng)
+    # Computes only before round 1: later rounds find the trainees' validation
+    # outputs in the memo, filled by the stacked pass after the previous round.
+    forward_stack(pop.trainees, val.X)
     scores = evaluate_validation(pop, val)
     if cfg.policy == "rgbt":
         return group_rgbt(scores, cfg.capacity, rng)
@@ -192,12 +196,27 @@ def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index
     return group_eq(ranked, cfg.capacity)
 
 
-def prepare_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
-    """Build (train, val, test) and apply label corruption to train only."""
-    train, val, test = build_datasets(cfg.dataset)
+def prepare_data(
+    cfg: ExperimentConfig, datasets: tuple[Dataset, Dataset, Dataset] | None = None
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Build (train, val, test) and apply label corruption to train only.
+
+    ``datasets``, if given, are the sets ``build_datasets(cfg.dataset)``
+    returns; only the corruption is applied to them. Raises
+    ConfigurationError if the batch size exceeds the training set.
+    """
+    train, val, test = build_datasets(cfg.dataset) if datasets is None else datasets
     if cfg.corruption is not None:
         train = train.with_labels(corrupt_labels(train.y, cfg.corruption, train.K))
+    _check_batch_size(cfg, train)
     return train, val, test
+
+
+def _check_batch_size(cfg: ExperimentConfig, train: Dataset) -> None:
+    if cfg.hyperparams.batch_size > len(train):
+        raise ConfigurationError(
+            f"batch_size {cfg.hyperparams.batch_size} exceeds training set of {len(train)}"
+        )
 
 
 def run_experiment(
@@ -215,14 +234,8 @@ def run_experiment(
     run serially. A NonFiniteError gets ``(seed S, round t)`` or
     ``(seed S, warm-up)`` appended to its message.
     """
-    if data is None:
-        train, val, test = prepare_data(cfg)
-    else:
-        train, val, test = data
-    if cfg.hyperparams.batch_size > len(train):
-        raise ConfigurationError(
-            f"batch_size {cfg.hyperparams.batch_size} exceeds training set of {len(train)}"
-        )
+    train, val, test = prepare_data(cfg) if data is None else data
+    _check_batch_size(cfg, train)
 
     spec = ModelSpec(
         layer_widths=(train.n_features, *cfg.hidden_widths, train.K),
@@ -251,6 +264,10 @@ def run_experiment(
                 master_seed=cfg.master_seed,
                 round_index=t,
             )
+            # One stacked pass per split fills every trainee's memo, in the
+            # order the metrics below read the splits; they then only look up.
+            for ds in (test, train, val):
+                forward_stack(trainees, ds.X)
             per_learner = np.array([accuracy(l, test) for l in trainees])
             records.append(
                 MetricsRecord(

@@ -9,6 +9,7 @@ is plain mini-batch SGD on cross-entropy with analytic backprop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -114,7 +115,7 @@ class Learner:
     rng: np.random.Generator
     is_oracle: bool = False
     held_labels: np.ndarray | None = field(default=None, repr=False)
-    # forward_batch outputs for one (spec, params) state; see forward_batch.
+    # forward_stack outputs for one (spec, params) state; see forward_stack.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -173,16 +174,21 @@ def init_learner(
     )
 
 
-def _activations(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray) -> list[np.ndarray]:
+def _activations(
+    layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray, product=np.dot
+) -> list[np.ndarray]:
     """Forward pass: [X, hidden activations..., logits], all but X fresh arrays.
 
     ReLU runs in place: backprop needs only where z > 0, and relu(z) > 0 there.
-    Products use ``np.dot``: the same gemm as ``@`` with less dispatch.
+    Training passes one learner's 2-D layers and ``np.dot``: the same gemm as
+    ``@`` with less dispatch. Evaluation passes layers stacked over learners,
+    (L, w_in, w_out) weights and (L, 1, w_out) biases, and ``np.matmul``,
+    which makes that same gemm call once per learner.
     """
     acts = [X]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        a = np.dot(acts[-1], w)
+        a = product(acts[-1], w)
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -199,47 +205,120 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(a.T.copy(), axis=0)[:, None]
 
 
-def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
-    """Class distributions for every row of X, shape (n, K).
+def _class_sum(p: np.ndarray) -> np.ndarray:
+    """Column sums of a class-major (K, M) array, added in numpy's row order.
 
-    Softmax of the final-layer logits, floored at PROB_FLOOR and
-    renormalized, so every row is a valid distribution even when a
-    logit gap underflows the softmax.
-
-    A read-only X that owns its memory (a Dataset's X) is memoized: a repeated
-    call with the same X object, the same spec object and parameters equal
-    by ``np.array_equal`` returns a copy of the remembered output.
-
-    Raises NonFiniteError, naming the learner, if a computed logit is NaN or
-    infinite; such a learner's distributions would be scored as if valid.
+    ``np.add.reduce(q, axis=1)`` on the (M, K) transpose q sums each row
+    pairwise: fewer than 8 terms in sequence, as a reduction over axis 0
+    does; up to 128 in 8 interleaved partial sums, combined as a tree, then
+    the rest in sequence; above 128 the two halves (the first a multiple of 8
+    long) apart. Repeating that order on whole rows of M gives the same sums
+    bit for bit.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != learner.spec.input_dim:
-        raise ValueError(
-            f"expected rows of width {learner.spec.input_dim}, got shape {X.shape}"
-        )
-    memo = learner._memo if X.base is None and not X.flags.writeable else None
-    if memo is not None:
-        if memo.get("spec") is not learner.spec or not np.array_equal(memo["params"], learner.params):
-            learner._memo = memo = {"spec": learner.spec, "params": learner.params.copy()}
-        elif memo.get(id(X), (None,))[0] is X:
-            return memo[id(X)][1].copy()
+    K = len(p)
+    if K < 8:
+        return np.add.reduce(p, axis=0)
+    if K > 128:
+        half = K // 2 - K // 2 % 8
+        return _class_sum(p[:half]) + _class_sum(p[half:])
+    tail = K - K % 8
+    r = p[:8].copy()
+    for i in range(8, tail, 8):
+        r += p[i : i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in p[tail:]:
+        s += row
+    return s
+
+
+def _distributions(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
+    """Class distributions of learners sharing one spec, shape (L, n, K).
+
+    One stacked pass: parameters are stacked to (L, P) and each layer is one
+    ``np.matmul``. The softmax tail runs once on a class-major (K, L*n) copy
+    of the logits, so each reduction over the classes is K-1 elementwise
+    operations on long rows rather than L*n short reductions.
+    """
+    spec, n = learners[0].spec, len(X)
+    params = np.stack([learner.params for learner in learners])
+    layers = [
+        (params[:, w_start:b_start].reshape(-1, *shape), params[:, None, b_start:b_end])
+        for w_start, b_start, b_end, shape in spec._layout
+    ]
     # Overflow is reported once, by the NonFiniteError below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _activations(unpack_params(learner.spec, learner.params), X)[-1]
-        if not np.isfinite(p).all():
-            raise NonFiniteError(f"learner {learner.id} has non-finite logits in evaluation")
-        p -= _row_max(p)
+        logits = _activations(layers, X, np.matmul)[-1]
+        # Copied first: the transposed view alone reshapes to rows of stride K,
+        # and the reductions over axis 0 below would then run column by column.
+        p = logits.transpose(2, 0, 1).copy().reshape(spec.n_classes, -1)
+        finite = np.isfinite(p)
+        if not finite.all():
+            first = np.argmin(finite.reshape(len(p), len(learners), n).all(axis=(0, 2)))
+            raise NonFiniteError(f"learner {learners[first].id} has non-finite logits in evaluation")
+        p -= np.maximum.reduce(p, axis=0)
         np.exp(p, out=p)
-        p /= np.add.reduce(p, axis=1, keepdims=True)
+        p /= _class_sum(p)
         np.maximum(p, PROB_FLOOR, out=p)
-        p /= np.add.reduce(p, axis=1, keepdims=True)
+        p /= _class_sum(p)
         # Renormalization can nudge a floored entry below the floor again;
         # the final clamp restores it while moving the row sum by < K*floor.
         np.maximum(p, PROB_FLOOR, out=p)
-    if memo is not None:
-        memo[id(X)] = (X, p.copy())
-    return p
+    return p.reshape(len(p), len(learners), n).transpose(1, 2, 0).copy()
+
+
+def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray]:
+    """Class distributions of each learner for every row of X, shape (n, K) each.
+
+    Softmax of the final-layer logits, floored at PROB_FLOOR and
+    renormalized, so every row is a valid distribution even when a
+    logit gap underflows the softmax. The learners must share one layer
+    layout; each result is bit-identical to evaluating its learner alone.
+
+    A read-only X that owns its memory (a Dataset's X) is memoized per
+    learner: a learner whose memo holds this X object, for the same spec
+    object and parameters equal by ``np.array_equal``, gets a copy of the
+    remembered output. The other learners are computed in one stacked pass.
+
+    Raises NonFiniteError naming the first computed learner, in list order,
+    whose logits are NaN or infinite; its distributions would be scored as
+    if valid.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out: list = [None] * len(learners)
+    if not learners:
+        return out
+    spec = learners[0].spec
+    if X.ndim != 2 or X.shape[1] != spec.input_dim:
+        raise ValueError(f"expected rows of width {spec.input_dim}, got shape {X.shape}")
+    if any(learner.spec.layer_widths != spec.layer_widths for learner in learners):
+        raise ValueError("stacked learners must share their layer widths")
+    memoize = X.base is None and not X.flags.writeable
+    stale = []
+    for i, learner in enumerate(learners):
+        if memoize:
+            memo = learner._memo
+            if memo.get("spec") is not learner.spec or not np.array_equal(memo["params"], learner.params):
+                learner._memo = {"spec": learner.spec, "params": learner.params.copy()}
+            elif memo.get(id(X), (None,))[0] is X:
+                out[i] = memo[id(X)][1].copy()
+                continue
+        stale.append(i)
+    if stale:
+        for i, p in zip(stale, _distributions([learners[i] for i in stale], X)):
+            if memoize:
+                learners[i]._memo[id(X)] = (X, p.copy())
+            out[i] = p
+    return out
+
+
+def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
+    """Class distributions for every row of X, shape (n, K).
+
+    The one-learner case of :func:`forward_stack`, memo included: a repeated
+    call with the same read-only X returns a copy of the remembered output.
+    Raises NonFiniteError, naming the learner, if a logit is NaN or infinite.
+    """
+    return forward_stack([learner], X)[0]
 
 
 def forward(learner: Learner, x: np.ndarray) -> np.ndarray:
@@ -294,7 +373,8 @@ def loss_and_gradient(
     ``out``, if given, must be a C-contiguous float64 vector shaped like
     ``params`` (ValueError otherwise); the gradient is written into it,
     overwriting every entry, and it is returned in place of a fresh array.
-    Labels must lie in [0, K).
+    Labels must lie in [0, K). They are not checked here (``train_epoch``
+    checks them once per epoch): a label out of range reads another row.
 
     The spec keeps the layer views of the last C-contiguous (``params``,
     ``out``) pair, so a loop that passes the same two arrays builds them once.
@@ -323,12 +403,13 @@ def loss_and_gradient(
     log_probs = acts.pop()
     log_probs -= _row_max(log_probs)
     log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
-    n = len(X)
-    rows = np.arange(n)
-    loss = float(-(np.add.reduce(log_probs[rows, labels]) / n))
+    n, K = log_probs.shape
+    # Each row's label as a flat position: 1-D take and subtract, not 2-D fancy indexing.
+    picks = np.arange(0, n * K, K) + labels
+    loss = float(-(np.add.reduce(log_probs.ravel().take(picks)) / n))
 
     delta = np.exp(log_probs, out=log_probs)
-    delta[rows, labels] -= 1.0
+    delta.ravel()[picks] -= 1.0
     delta /= n
 
     for i in range(len(layers) - 1, -1, -1):
@@ -337,7 +418,8 @@ def loss_and_gradient(
         np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
             delta = np.dot(delta, layers[i][0].T)
-            delta *= acts[i] > 0.0
+            # Post-ReLU activations have sign exactly 0.0 or 1.0.
+            delta *= np.sign(acts[i])
     return loss, grad
 
 

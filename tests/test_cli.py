@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkdiff import write_idx
+from nkdiff import cli, data, engine, write_idx
 from nkdiff.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -165,6 +166,29 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "per class" in err
+        assert not out.exists()
+
+    def test_batch_larger_than_training_split_is_config_error_without_output(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blobs": FAST_BLOBS, "seeds": 1, "batch_size": 10000}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "batch_size 10000 exceeds" in err
+        assert not out.exists()
+
+    def test_unallocatable_data_is_one_line_without_output(self, tmp_path, monkeypatch, capsys):
+        # gen_blobs raises as numpy would; nothing asks the host for the memory.
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 21.8 TiB for an array with shape (3000000000000,)")
+
+        monkeypatch.setattr(data, "gen_blobs", unallocatable)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blobs": {**FAST_BLOBS, "n_per_class": 10**12}, "seeds": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("memory error: Unable to allocate")
         assert not out.exists()
 
     def test_truncated_idx_is_io_error_without_output(self, tmp_path, capsys):
@@ -318,6 +342,30 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert "no valid cells" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dataset_built_once_and_cells_match_single_runs(self, tmp_path, monkeypatch):
+        builds = []
+        real_build = data.build_datasets
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        for module in (cli, engine):
+            monkeypatch.setattr(module, "build_datasets", counting_build)
+        path = self.sweep_config(tmp_path, {"policies": ["btb", "oo"], "noise_levels": [0.0, 0.3]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert len(builds) == 1
+        for policy, noise in itertools.product(["btb", "oo"], [0.0, 0.3]):
+            cell = out / f"{policy}_c2_preoff_noise{noise:g}"
+            single = tmp_path / f"single_{cell.name}"
+            run_path = self.sweep_config(tmp_path, {"policy": policy, "noise": noise})
+            assert main(["run", "--config", str(run_path), "--out", str(single)]) == EXIT_OK
+            csvs = sorted(p.name for p in cell.glob("*.csv"))
+            assert csvs == ["agg.csv", "run_0.csv", "run_1.csv"]
+            for name in csvs:
+                assert (cell / name).read_bytes() == (single / name).read_bytes()
 
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
         path = self.sweep_config(

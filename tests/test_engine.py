@@ -157,6 +157,43 @@ class TestRunRoundAccounting:
             assert np.array_equal(a.params, b.params)
 
 
+def reversed_plan(plan):
+    """The same sessions, every group and every group's learners in reverse order."""
+    return RoundPlan(groups=[(t, ls[::-1]) for t, ls in plan.groups[::-1]], policy_tag=plan.policy_tag)
+
+
+class TestSessionOrder:
+    """Sessions run in plan order, but any other order gives the same bits."""
+
+    def test_one_round_in_reverse_gives_identical_parameters(self, task):
+        train, val, _ = task
+        from nkdiff import evaluate_validation, group_eq, rank_models
+
+        hp = TrainHyperparams(0.1, 16)
+        pop_a = make_population(train, seed=7)
+        pop_b = make_population(train, seed=7)
+        plan = group_eq(rank_models(evaluate_validation(pop_a, val)), 5)
+        assert len(plan.groups) == 2 and all(len(ls) == 4 for _, ls in plan.groups)
+        for pop, order in ((pop_a, plan), (pop_b, reversed_plan(plan))):
+            run_round(pop, order, train, hp, ResourceLedger(), capacity=5, master_seed=3, round_index=1)
+        for a, b in zip(pop_a.learners, pop_b.learners):
+            assert np.array_equal(a.params, b.params)
+
+    @pytest.mark.parametrize("policy, capacity", [("btb", 2), ("eq", 5), ("pom", 2)])
+    def test_run_in_reverse_session_order_writes_identical_csv(self, task, monkeypatch, policy, capacity):
+        from nkdiff.cli import format_run_csv
+
+        cfg = ExperimentConfig(policy=policy, capacity=capacity, rounds=4, dataset=SMALL_BLOBS, master_seed=8)
+        in_order = format_run_csv(run_experiment(cfg, data=task))
+        real_run_round = engine.run_round
+
+        def reversing_run_round(pop, plan, *args, **kwargs):
+            return real_run_round(pop, reversed_plan(plan), *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_round", reversing_run_round)
+        assert format_run_csv(run_experiment(cfg, data=task)) == in_order
+
+
 class TestExperimentConfig:
     def test_pom_capacity_five_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -284,11 +321,11 @@ class TestRunExperiment:
         # recomputed only after it trains: 3 forward passes per session.
         splits = [ds.X for ds in task]
         computed = [0]
-        real_activations = nn._activations
+        real_distributions = nn._distributions
 
-        def counting_activations(layers, X):
-            computed[0] += any(X is s for s in splits)
-            return real_activations(layers, X)
+        def counting_distributions(learners, X):
+            computed[0] += len(learners) * any(X is s for s in splits)
+            return real_distributions(learners, X)
 
         round_starts, sessions = [], []
         real_make_plan, real_run_round = engine._make_plan, engine.run_round
@@ -302,7 +339,7 @@ class TestRunExperiment:
             real_run_round(pop, plan, train, hp, ledger, **kwargs)
             sessions.append((ledger.forward_ops - before) // len(train))
 
-        monkeypatch.setattr(nn, "_activations", counting_activations)
+        monkeypatch.setattr(nn, "_distributions", counting_distributions)
         monkeypatch.setattr(engine, "_make_plan", marking_make_plan)
         monkeypatch.setattr(engine, "run_round", recording_run_round)
         cfg = ExperimentConfig(policy="btb", capacity=2, rounds=5, dataset=SMALL_BLOBS, master_seed=1)

@@ -153,15 +153,15 @@ class TestForward:
 
 @pytest.fixture
 def count_forwards(monkeypatch):
-    """Records the id of the input of every real forward computation."""
+    """Records the id of the input once per learner of every real forward computation."""
     calls = []
-    real = nn._activations
+    real = nn._distributions
 
-    def counting(layers, X):
-        calls.append(id(X))
-        return real(layers, X)
+    def counting(learners, X):
+        calls.extend(id(X) for _ in learners)
+        return real(learners, X)
 
-    monkeypatch.setattr(nn, "_activations", counting)
+    monkeypatch.setattr(nn, "_distributions", counting)
     return calls
 
 

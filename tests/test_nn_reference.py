@@ -16,8 +16,10 @@ import pytest
 from nkdiff import (
     PROB_FLOOR,
     ModelSpec,
+    NonFiniteError,
     TrainHyperparams,
     forward_batch,
+    forward_stack,
     gen_blobs,
     init_learner,
     loss_and_gradient,
@@ -203,3 +205,43 @@ def test_one_out_buffer_across_sgd_steps_matches_reference(widths):
         twin -= 0.05 * ref_grad
     assert spec._views[0] is params
     assert np.array_equal(params, twin)
+
+
+@pytest.mark.parametrize("n_learners", [1, 9])
+@pytest.mark.parametrize("K", [2, 3, 7, 8, 10, 16, 130])
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_forward_stack_matches_reference_bit_for_bit(n_learners, K, tied):
+    # K spans numpy's three summation orders: in sequence, 8 partial sums, halves.
+    spec = ModelSpec(layer_widths=(6, 12, K), seed=K)
+    learners = [init_learner(spec, i) for i in range(n_learners)]
+    for learner in learners:
+        learner.params *= 3.0
+    if tied:
+        # The middle learner's logits are all equal on every row.
+        w, b = unpack_params(spec, learners[n_learners // 2].params)[-1]
+        w[...] = 0.0
+        b[...] = 0.5
+    rng = np.random.default_rng(K)
+    X = np.vstack([rng.standard_normal((37, 6)) * 2.0, np.full((1, 6), 1e8), np.full((1, 6), -1e8)])
+    expected = [ref_forward_batch(learner, X) for learner in learners]
+    for p, ref in zip(forward_stack(learners, X), expected):
+        assert np.array_equal(p, ref)
+    # A read-only X is memoized: the stacked pass fills every memo, then each hits.
+    X.setflags(write=False)
+    for p, ref in zip(forward_stack(learners, X), expected):
+        assert np.array_equal(p, ref)
+    for learner, ref in zip(learners, expected):
+        assert id(X) in learner._memo
+        assert np.array_equal(forward_batch(learner, X), ref)
+
+
+def test_forward_stack_names_the_first_non_finite_learner():
+    spec = ModelSpec(layer_widths=(6, 12, 3), seed=1)
+    learners = [init_learner(spec, i) for i in range(9)]
+    learners[4].params[0] = np.nan
+    learners[6].params *= 1e300
+    X = np.random.default_rng(0).standard_normal((20, 6))
+    with pytest.raises(NonFiniteError, match=r"^learner 4 "):
+        forward_stack(learners, X)
+    with pytest.raises(NonFiniteError, match=r"^learner 6 "):
+        forward_stack(learners[:4] + learners[5:], X)

@@ -5,8 +5,8 @@ Usage, from the root of a source checkout::
     python3 tools/csv_matrix.py OUT > digests.txt
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
-checkout it sits in, runs 23 ``nkdiff run`` commands into OUT and prints one
-``sha256  path`` line per CSV written (75 in all), with paths relative to
+checkout it sits in, runs 26 ``nkdiff run`` commands into OUT and prints one
+``sha256  path`` line per CSV written (84 in all), with paths relative to
 OUT, sorted. To check that a change leaves every output float as it was, run
 it on two checkouts and ``diff`` the two listings. The grid:
 
@@ -14,7 +14,10 @@ it on two checkouts and ``diff`` the two listings. The grid:
 - the three configs of acceptance criterion 3 (``btb`` and ``pom`` at C=2,
   ``oo`` at C=5 with warm-up; 4 rounds, 2 seeds, a small blobs task);
 - 15-round, 2-seed runs of the 5 policies x warm-up off/on x hidden widths
-  [16] and [12, 8], at C=2 on the default task.
+  [16] and [12, 8], at C=2 on the default task;
+- 10-round, 2-seed runs on blobs tasks with more classes, where numpy sums
+  a row of probabilities in 8 partial sums (K=10: ``btb`` at C=2 and ``eq``
+  at C=5 with warm-up) or in halves (K=130: ``rgbt`` at C=2).
 """
 
 from __future__ import annotations
@@ -59,6 +62,15 @@ def grid() -> list[tuple[str, dict]]:
         config = {"policy": policy, "c": 2, "rounds": 15, "seeds": 2,
                   "pretrain": pretrain, "hidden_widths": hidden}
         runs.append((name, config))
+    k10 = {"n_per_class": 40, "k": 10, "d": 10, "centers_scale": 2.0, "noise_sigma": 1.0, "seed": 5}
+    k130 = {"n_per_class": 5, "k": 130, "d": 10, "centers_scale": 3.0, "noise_sigma": 1.0, "seed": 6}
+    many = {"rounds": 10, "seeds": 2}
+    runs += [
+        ("k10_btb", {**many, "blobs": k10, "policy": "btb", "c": 2}),
+        ("k10_eq_preon", {**many, "blobs": k10, "policy": "eq", "c": 5, "pretrain": True}),
+        ("k130_rgbt", {**many, "blobs": k130, "policy": "rgbt", "c": 2,
+                       "learning_rate": 0.05, "batch_size": 16}),
+    ]
     return runs
 
 
