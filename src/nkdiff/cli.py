@@ -3,8 +3,8 @@
 Configs are flat JSON documents (see README for the schema). A run writes
 one ``run_<seed>.csv`` per seed plus ``agg.csv`` and ``manifest.json``; a
 sweep writes one such directory per grid cell plus ``summary.csv``.
-Numeric CSV fields use fixed 6-decimal formatting so byte-identity of
-outputs is meaningful, and files are written atomically.
+One CSV writer prints every float with 6 fixed decimals, so byte-identity
+of outputs is meaningful, and files are written atomically.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -33,7 +33,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-RUN_CSV_HEADER = "round,oracle_sessions,forward_ops,alacc_test,ensacc_test,alacc_train,ensacc_val"
+RUN_CSV_COLUMNS = ("round", *AGG_FIELDS)
+RUN_CSV_HEADER = ",".join(RUN_CSV_COLUMNS)
 
 # Every config key with its JSON type and its default. float is any JSON
 # number a float holds, [int] a list of integers, and a dataclass a nested
@@ -64,28 +65,6 @@ DEFAULT_CONFIG = {key: default for key, (_, default) in SCHEMA.items()}
 SWEEP_AXES = {"policies": "policy", "capacities": "c", "pretraining": "pretrain", "noise_levels": "noise"}
 
 _TYPE_NAMES = {bool: "true or false", int: "a 64-bit integer", float: "a number", str: "a string"}
-
-
-@dataclass
-class RunManifest:
-    """Record of what a run directory contains and how to reproduce it."""
-
-    config: dict
-    config_hash: str
-    seeds: list[int]
-    out_dir: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "config_hash": self.config_hash,
-                "seeds": self.seeds,
-                "out_dir": self.out_dir,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def config_hash(config: dict) -> str:
@@ -245,38 +224,27 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows: floats with 6 decimals, everything else with str."""
+    lines = [header, *([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def format_run_csv(records: list[MetricsRecord]) -> str:
-    lines = [RUN_CSV_HEADER]
-    for rec in records:
-        lines.append(
-            f"{rec.round},{rec.oracle_sessions},{rec.forward_ops},"
-            f"{rec.alacc_test:.6f},{rec.ensacc_test:.6f},"
-            f"{rec.alacc_train:.6f},{rec.ensacc_val:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(RUN_CSV_COLUMNS, [[getattr(rec, name) for name in RUN_CSV_COLUMNS] for rec in records])
 
 
 def format_agg_csv(runs: list[list[MetricsRecord]]) -> str:
-    header = ["round"]
-    for name in AGG_FIELDS:
-        header += [f"{name}_mean", f"{name}_ci95"]
-    lines = [",".join(header)]
+    header = ["round", *(f"{name}_{stat}" for name in AGG_FIELDS for stat in ("mean", "ci95"))]
     if len(runs) >= 2:
         agg = aggregate_seeds(runs)
-        means, cis, rounds = agg.mean, agg.ci95, agg.rounds
-    else:
-        rounds = np.array([rec.round for rec in runs[0]])
-        means = {
-            name: np.array([getattr(rec, name) for rec in runs[0]], dtype=np.float64)
-            for name in AGG_FIELDS
-        }
-        cis = {name: np.zeros(len(rounds)) for name in AGG_FIELDS}
-    for i, rnd in enumerate(rounds):
-        cells = [str(int(rnd))]
-        for name in AGG_FIELDS:
-            cells += [f"{means[name][i]:.6f}", f"{cis[name][i]:.6f}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rounds, means, cis = agg.rounds, agg.mean, agg.ci95
+    else:  # one run: its own values, with zero-width intervals
+        rounds = [rec.round for rec in runs[0]]
+        means = {name: [float(getattr(rec, name)) for rec in runs[0]] for name in AGG_FIELDS}
+        cis = {name: [0.0] * len(rounds) for name in AGG_FIELDS}
+    rows = [[int(rnd), *(stat[name][i] for name in AGG_FIELDS for stat in (means, cis))] for i, rnd in enumerate(rounds)]
+    return _csv(header, rows)
 
 
 def execute_run(
@@ -298,13 +266,13 @@ def execute_run(
         _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
         runs.append(records)
     _write_atomic(out_dir / "agg.csv", format_agg_csv(runs))
-    manifest = RunManifest(
-        config={k: v for k, v in config.items() if k != "out"},
-        config_hash=config_hash(config),
-        seeds=[cfg.master_seed for cfg in experiments],
-        out_dir=str(out_dir),
-    )
-    _write_atomic(out_dir / "manifest.json", manifest.to_json() + "\n")
+    manifest = {
+        "config": {k: v for k, v in config.items() if k != "out"},
+        "config_hash": config_hash(config),
+        "seeds": [cfg.master_seed for cfg in experiments],
+        "out_dir": str(out_dir),
+    }
+    _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return runs
 
 
@@ -325,15 +293,20 @@ def _cell_name(policy: str, c: int, pretrain: bool, noise: float, random_labels:
 def cmd_sweep(config: dict) -> int:
     base = {k: v for k, v in config.items() if k not in SWEEP_AXES}
     grid = [config.get(axis, [config[key]]) for axis, key in SWEEP_AXES.items()]
-    # Every cell is validated before the first one runs and writes.
-    planned = []
+    # Every cell is validated, and named apart, before the first one runs and writes.
+    planned, named = [], {}
     for policy, c, pretrain, noise in itertools.product(*grid):
-        cell = merge_config(base, {"policy": policy.lower(), "c": c, "pretrain": pretrain, "noise": noise})
+        values = {"policy": policy.lower(), "c": c, "pretrain": pretrain, "noise": noise}
+        cell = merge_config(base, values)
         name = _cell_name(cell["policy"], c, pretrain, noise, cell["random_labels"])
         try:
             planned.append((name, cell, build_experiments(cell)))
         except ValueError as exc:
             print(f"skipping cell {name}: {exc}", file=sys.stderr)
+            continue
+        if name in named:
+            raise ConfigurationError(f"sweep cells {named[name]} and {values} share the directory name {name}")
+        named[name] = values
     if not planned:
         raise ConfigurationError("sweep produced no valid cells")
 
@@ -361,15 +334,7 @@ def cmd_sweep(config: dict) -> int:
                 "best_ensacc_test": float(ensacc.max()),
             }
         )
-    header = list(summary_rows[0])
-    lines = [",".join(header)]
-    for row in summary_rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            cells.append(f"{value:.6f}" if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
-    _write_atomic(out_dir / "summary.csv", "\n".join(lines) + "\n")
+    _write_atomic(out_dir / "summary.csv", _csv(list(summary_rows[0]), [list(r.values()) for r in summary_rows]))
     print(f"wrote {out_dir}/summary.csv with {len(summary_rows)} cells")
     return EXIT_OK
 

@@ -7,6 +7,7 @@ can be memoized against them.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -177,57 +178,47 @@ def corrupt_labels(y: np.ndarray, spec: CorruptionSpec, K: int) -> np.ndarray:
     return out
 
 
+def _read_idx(path, magic: int) -> tuple[tuple[int, ...], bytes]:
+    """The dimensions and payload bytes of the IDX file at ``path``.
+
+    The file must start with ``magic``, whose low byte is the number of u32
+    dimensions that follow; the payload is their product of bytes, and any
+    bytes after it are ignored.
+    """
+    ndim = magic & 0xFF
+    with open(path, "rb") as f:
+        header = f.read(4 + 4 * ndim)
+        if len(header) < 4:
+            raise IdxTruncatedError(f"{path}: no room for a magic number")
+        (found,) = struct.unpack(">I", header[:4])
+        if found != magic:
+            raise IdxMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        if len(header) < 4 + 4 * ndim:
+            raise IdxTruncatedError(f"{path}: truncated header")
+        dims = struct.unpack(f">{ndim}I", header[4:])
+        payload = f.read()
+    # Python integers: three u32 dimensions can overflow an int64 product.
+    size = math.prod(dims)
+    if len(payload) < size:
+        unit = "pixel" if magic == IDX_IMAGES_MAGIC else "label"
+        raise IdxTruncatedError(f"{path}: expected {size} {unit} bytes, found {len(payload)}")
+    return dims, payload[:size]
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label file pair into a flat-feature Dataset.
 
     Pixels are scaled to [0, 1]; labels are taken verbatim with K = 10.
     """
-    with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 4:
-            raise IdxTruncatedError(f"{images_path}: no room for a magic number")
-        magic = struct.unpack(">I", header[:4])[0]
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxMagicError(
-                f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        if len(header) < 16:
-            raise IdxTruncatedError(f"{images_path}: truncated header")
-        n_images, rows, cols = struct.unpack(">III", header[4:16])
-        payload = f.read()
-    expected = n_images * rows * cols
-    if len(payload) < expected:
-        raise IdxTruncatedError(
-            f"{images_path}: expected {expected} pixel bytes, found {len(payload)}"
-        )
-    pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
-
-    with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 4:
-            raise IdxTruncatedError(f"{labels_path}: no room for a magic number")
-        magic = struct.unpack(">I", header[:4])[0]
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxMagicError(
-                f"{labels_path}: magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        if len(header) < 8:
-            raise IdxTruncatedError(f"{labels_path}: truncated header")
-        n_labels = struct.unpack(">I", header[4:8])[0]
-        label_bytes = f.read()
-    if len(label_bytes) < n_labels:
-        raise IdxTruncatedError(
-            f"{labels_path}: expected {n_labels} label bytes, found {len(label_bytes)}"
-        )
+    (n_images, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    (n_labels,), label_bytes = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if n_images != n_labels:
-        raise IdxCountMismatchError(
-            f"{n_images} images but {n_labels} labels"
-        )
-    labels = np.frombuffer(label_bytes[:n_labels], dtype=np.uint8).astype(np.int64)
+        raise IdxCountMismatchError(f"{n_images} images but {n_labels} labels")
+    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     if len(labels) and labels.max() >= IDX_CLASSES:
         raise IdxFormatError(f"label {labels.max()} outside [0, {IDX_CLASSES})")
-
-    X = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
+    X = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols).astype(np.float64)
+    X /= 255.0
     return Dataset(X=X, y=labels, K=IDX_CLASSES)
 
 
@@ -241,13 +232,11 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
         raise ValueError(f"{len(images)} images but label shape {labels.shape}")
     if len(labels) and (labels.min() < 0 or labels.max() >= IDX_CLASSES):
         raise ValueError(f"labels must lie in [0, {IDX_CLASSES})")
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(labels.astype(np.uint8).tobytes())
+    files = ((images_path, IDX_IMAGES_MAGIC, images), (labels_path, IDX_LABELS_MAGIC, labels.astype(np.uint8)))
+    for path, magic, a in files:
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{1 + a.ndim}I", magic, *a.shape))
+            f.write(a.tobytes())
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class ModelSpec:
     """
 
     layer_widths: tuple[int, ...]
-    activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class ModelSpec:
             raise ValueError(f"layer widths must be positive, got {widths}")
         if widths[-1] < 2:
             raise ValueError("output layer needs at least 2 classes")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         # Per layer: (W start, b start, b end, W shape) in the flat vector.
@@ -373,11 +370,15 @@ def loss_and_gradient(
     ``out``, if given, must be a C-contiguous float64 vector shaped like
     ``params`` (ValueError otherwise); the gradient is written into it,
     overwriting every entry, and it is returned in place of a fresh array.
-    Labels must lie in [0, K). They are not checked here (``train_epoch``
-    checks them once per epoch): a label out of range reads another row.
 
     The spec keeps the layer views of the last C-contiguous (``params``,
     ``out``) pair, so a loop that passes the same two arrays builds them once.
+
+    ``labels`` must hold one label in [0, K) per row of X (ValueError
+    otherwise). They are checked whenever the views are built: on every call
+    without ``out``, and on the first call with a new pair, so once per
+    ``train_epoch`` epoch (which checks all of its labels itself). Later
+    calls with a remembered pair are not checked.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -394,6 +395,10 @@ def loss_and_gradient(
                 f"out must be a C-contiguous float64 flat vector of {spec._n_params} "
                 f"parameters, got {out.dtype} of shape {out.shape}"
             )
+        if labels.shape != (len(X),):
+            raise ValueError(f"{len(X)} rows but labels of shape {labels.shape}")
+        if len(labels) and (labels.min() < 0 or labels.max() >= spec.n_classes):
+            raise ValueError(f"labels must lie in [0, {spec.n_classes})")
         layers, grads = unpack_params(spec, params), unpack_params(spec, grad)
         if out is not None and params.flags.c_contiguous:
             object.__setattr__(spec, "_views", (params, out, layers, grads))

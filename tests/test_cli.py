@@ -367,6 +367,16 @@ class TestSweep:
             for name in csvs:
                 assert (cell / name).read_bytes() == (single / name).read_bytes()
 
+    def test_cells_with_one_directory_name_are_rejected(self, tmp_path, capsys):
+        # Both noise levels print as noise0.1, so the second cell would overwrite the first.
+        path = self.sweep_config(tmp_path, {"noise_levels": [0.1, 0.1000001]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "btb_c2_preoff_noise0.1" in err
+        assert "'noise': 0.1}" in err and "'noise': 0.1000001}" in err
+        assert not out.exists()
+
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
         path = self.sweep_config(
             tmp_path, {"policies": ["btb"], "capacities": [2, 5], "noise_levels": [0.0, 0.4]}

@@ -146,6 +146,15 @@ class TestCorruptLabels:
         assert np.array_equal(corrupt_labels(y, spec, 3), corrupt_labels(y, spec, 3))
 
 
+# How each fault damages a well-formed IDX file, and the error it raises.
+IDX_FAULTS = {
+    "no_magic": (lambda good: good[:3], IdxTruncatedError, "no room for a magic number"),
+    "wrong_magic": (lambda good: b"\x00\x00\x08\x02" + good[4:], IdxMagicError, "magic 0x00000802"),
+    "truncated_header": (lambda good: good[:6], IdxTruncatedError, "truncated header"),
+    "truncated_payload": (lambda good: good[:-1], IdxTruncatedError, "bytes, found"),
+}
+
+
 def encode_images(n, rows, cols, pixels, magic=0x00000803):
     import struct
 
@@ -201,6 +210,29 @@ class TestIdx:
         images.write_bytes(encode_images(3, 2, 2, [0] * 5))  # needs 12 bytes
         labels.write_bytes(encode_labels(3, [0, 1, 2]))
         with pytest.raises(IdxTruncatedError):
+            load_idx(images, labels)
+
+    @pytest.mark.parametrize("fault", IDX_FAULTS)
+    @pytest.mark.parametrize("faulty", ["images", "labels"])
+    def test_each_fault_names_its_file(self, tmp_path, faulty, fault):
+        paths = {"images": tmp_path / "img.idx", "labels": tmp_path / "lab.idx"}
+        paths["images"].write_bytes(encode_images(2, 2, 2, range(8)))
+        paths["labels"].write_bytes(encode_labels(2, [7, 3]))
+        damage, error, message = IDX_FAULTS[fault]
+        paths[faulty].write_bytes(damage(paths[faulty].read_bytes()))
+        with pytest.raises(error, match=message) as info:
+            load_idx(paths["images"], paths["labels"])
+        assert str(info.value).startswith(f"{paths[faulty]}: ")
+        if fault == "truncated_payload":
+            assert {"images": "pixel", "labels": "label"}[faulty] in str(info.value)
+
+    def test_huge_declared_size_is_truncation(self, tmp_path):
+        # 2**96 pixel bytes: an int64 product of the three u32 dimensions would wrap.
+        images = tmp_path / "img.idx"
+        labels = tmp_path / "lab.idx"
+        images.write_bytes(encode_images(2**32 - 1, 2**32 - 1, 2**32 - 1, [0] * 8))
+        labels.write_bytes(encode_labels(1, [0]))
+        with pytest.raises(IdxTruncatedError, match=f"expected {(2**32 - 1) ** 3} pixel bytes, found 8"):
             load_idx(images, labels)
 
     def test_round_trip(self, tmp_path):

@@ -40,10 +40,6 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(layer_widths=(4, 1))
 
-    def test_rejects_unknown_activation(self):
-        with pytest.raises(ValueError):
-            ModelSpec(layer_widths=(4, 3), activation="tanh")
-
     def test_param_count_small(self):
         assert param_count(ModelSpec(layer_widths=(2, 3))) == 2 * 3 + 3
 
@@ -475,3 +471,20 @@ class TestGradient:
         stepped = learner.params - 0.05 * grad
         after, _ = loss_and_gradient(small_spec, stepped, small_blobs.X, small_blobs.y)
         assert after < loss
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([3, 0, 1, 2], r"must lie in \[0, 3\)"),
+            ([-1, 0, 1, 2], r"must lie in \[0, 3\)"),
+            ([1], "4 rows but labels of shape"),
+            (1, "4 rows but labels of shape"),
+        ],
+        ids=["above_K", "negative", "one_label", "scalar"],
+    )
+    @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+    def test_bad_labels_are_rejected(self, small_spec, small_blobs, labels, message, with_out):
+        params = init_learner(small_spec, 0).params
+        out = np.empty_like(params) if with_out else None
+        with pytest.raises(ValueError, match=message):
+            loss_and_gradient(small_spec, params, small_blobs.X[:4], labels, out=out)

@@ -5,10 +5,11 @@ Usage, from the root of a source checkout::
     python3 tools/csv_matrix.py OUT > digests.txt
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
-checkout it sits in, runs 26 ``nkdiff run`` commands into OUT and prints one
-``sha256  path`` line per CSV written (84 in all), with paths relative to
-OUT, sorted. To check that a change leaves every output float as it was, run
-it on two checkouts and ``diff`` the two listings. The grid:
+checkout it sits in, runs 26 ``nkdiff run`` commands and one ``nkdiff sweep``
+into OUT and prints one ``sha256  path`` line per CSV written (97 in all),
+with paths relative to OUT, sorted. To check that a change leaves every
+output float as it was, run it on two checkouts and ``diff`` the two
+listings. The grid:
 
 - a default ``nkdiff run`` (``btb``, C=2, 10 rounds, 5 seeds);
 - the three configs of acceptance criterion 3 (``btb`` and ``pom`` at C=2,
@@ -17,7 +18,9 @@ it on two checkouts and ``diff`` the two listings. The grid:
   [16] and [12, 8], at C=2 on the default task;
 - 10-round, 2-seed runs on blobs tasks with more classes, where numpy sums
   a row of probabilities in 8 partial sums (K=10: ``btb`` at C=2 and ``eq``
-  at C=5 with warm-up) or in halves (K=130: ``rgbt`` at C=2).
+  at C=5 with warm-up) or in halves (K=130: ``rgbt`` at C=2);
+- a sweep of ``btb`` and ``oo`` x label noise 0 and 0.3 (3 rounds, 2 seeds,
+  default task): its ``summary.csv`` and each cell's three CSVs.
 """
 
 from __future__ import annotations
@@ -46,9 +49,11 @@ CRITERION_3_BLOBS = {
     "val_frac": 0.2,
 }
 
+SWEEP = {"policies": ["btb", "oo"], "noise_levels": [0.0, 0.3], "rounds": 3, "seeds": 2}
+
 
 def grid() -> list[tuple[str, dict]]:
-    """(directory name, config) for every run of the matrix."""
+    """(directory name, config) for every ``nkdiff run`` of the matrix."""
     runs: list[tuple[str, dict]] = [("default", {})]
     small = {"n": 10, "rounds": 4, "seeds": 2, "blobs": CRITERION_3_BLOBS}
     runs += [
@@ -81,13 +86,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists():
         parser.error(f"{args.out} already exists")
     args.out.mkdir(parents=True)
-    for name, config in grid():
+    for command, name, config in [*(("run", *run) for run in grid()), ("sweep", "sweep", SWEEP)]:
         path = args.out / f"{name}.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["run", "--config", str(path), "--out", str(args.out / name)])
+            code = cli_main([command, "--config", str(path), "--out", str(args.out / name)])
         if code != 0:
-            print(f"run {name} exited {code}", file=sys.stderr)
+            print(f"{command} {name} exited {code}", file=sys.stderr)
             return 1
     for csv in sorted(args.out.rglob("*.csv")):
         digest = hashlib.sha256(csv.read_bytes()).hexdigest()
