@@ -11,6 +11,7 @@ from .data import (
     IdxSpec,
     IdxTruncatedError,
     build_datasets,
+    check_labels,
     corrupt_labels,
     corruption_indices,
     gen_blobs,
@@ -44,9 +45,7 @@ from .nn import (
     ModelSpec,
     NonFiniteError,
     OracleUpdateError,
-    SessionStats,
     TrainHyperparams,
-    forward,
     forward_batch,
     forward_stack,
     init_learner,
@@ -59,8 +58,8 @@ from .nn import (
 )
 from .policies import (
     ConfigurationError,
-    PolicyConfig,
     RoundPlan,
+    check_policy,
     group_btb,
     group_eq,
     group_oo,

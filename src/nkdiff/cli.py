@@ -26,7 +26,7 @@ from .data import BlobsSpec, CorruptionSpec, Dataset, IdxFormatError, IdxSpec, b
 from .engine import ExperimentConfig, prepare_data, run_experiment
 from .metrics import AGG_FIELDS, MetricsRecord, aggregate_seeds
 from .nn import NonFiniteError, TrainHyperparams
-from .policies import ConfigurationError
+from .policies import POLICIES, ConfigurationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -347,9 +347,17 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a flag error as a ConfigurationError, reported in one line."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--policy", choices=("oo", "pom", "rgbt", "btb", "eq"))
+    # Policy names are case-insensitive, as in a config file.
+    parser.add_argument("--policy", type=str.lower, choices=POLICIES)
     parser.add_argument("--n", type=int, help="population size")
     parser.add_argument("--c", type=int, help="capacity bound (max group size)")
     parser.add_argument("--rounds", type=int)
@@ -363,7 +371,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nkdiff",
         description="Peer-teaching population training simulator",
     )
@@ -373,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser = sub.add_parser("sweep", help="run a policy/capacity/noise grid")
     _add_common_flags(sweep_parser)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         layers = [DEFAULT_CONFIG]
         if args.config:
             layers.append(load_config_file(args.config))

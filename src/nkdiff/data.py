@@ -36,6 +36,32 @@ class IdxCountMismatchError(IdxFormatError):
     """Image count and label count disagree."""
 
 
+def check_labels(y, K: int, n: int | None = None) -> np.ndarray:
+    """``y`` as an int64 vector of class labels in [0, K), not copied if it is one.
+
+    Integer and boolean labels are accepted, floats only if all are whole
+    numbers: nothing is truncated. Raises ValueError for a fractional, NaN or
+    infinite value, another dtype, a shape other than (n,) (any vector when
+    ``n`` is None), or a label outside [0, K).
+    """
+    y = np.asarray(y)
+    if n is not None and y.shape != (n,):
+        raise ValueError(f"{n} rows but labels of shape {y.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"labels must be a vector, got shape {y.shape}")
+    if y.dtype.kind == "f":
+        fractional = ~(np.isfinite(y) & (np.floor(y) == y))
+        if fractional.any():
+            raise ValueError(f"labels must be whole numbers, found {y[fractional][0]}")
+    elif y.dtype.kind not in "biu":
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+    if len(y):
+        low, high = y.min(), y.max()
+        if low < 0 or high >= K:
+            raise ValueError(f"labels must lie in [0, {K}), found {low if low < 0 else high}")
+    return y.astype(np.int64, copy=False)
+
+
 @dataclass
 class Dataset:
     """Feature matrix X with integer labels y in [0, K)."""
@@ -47,15 +73,11 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
-        if len(self.X) != len(self.y):
-            raise ValueError(f"{len(self.X)} rows but {len(self.y)} labels")
         if self.K < 2:
             raise ValueError("need at least 2 classes")
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.K):
-            raise ValueError(f"labels must lie in [0, {self.K})")
+        self.y = check_labels(self.y, self.K, len(self.X))
         self.X.setflags(write=False)
         self.y.setflags(write=False)
 
@@ -165,9 +187,7 @@ def corrupt_labels(y: np.ndarray, spec: CorruptionSpec, K: int) -> np.ndarray:
     uniformly over all K classes (symmetric noise: a redraw may coincide
     with the original label). ``full_random`` redraws every position.
     """
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) and (y.min() < 0 or y.max() >= K):
-        raise ValueError(f"labels must lie in [0, {K})")
+    y = check_labels(y, K)
     if spec.mode == "full_random":
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _REDRAW_STREAM)))
         return rng.integers(0, K, size=len(y), dtype=np.int64)
@@ -214,9 +234,10 @@ def load_idx(images_path, labels_path) -> Dataset:
     (n_labels,), label_bytes = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if n_images != n_labels:
         raise IdxCountMismatchError(f"{n_images} images but {n_labels} labels")
-    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    if len(labels) and labels.max() >= IDX_CLASSES:
-        raise IdxFormatError(f"label {labels.max()} outside [0, {IDX_CLASSES})")
+    try:
+        labels = check_labels(np.frombuffer(label_bytes, dtype=np.uint8), IDX_CLASSES)
+    except ValueError as exc:
+        raise IdxFormatError(f"{labels_path}: {exc}") from None
     X = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols).astype(np.float64)
     X /= 255.0
     return Dataset(X=X, y=labels, K=IDX_CLASSES)
@@ -225,14 +246,10 @@ def load_idx(images_path, labels_path) -> Dataset:
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
     """Write uint8 images of shape (n, rows, cols) and labels as IDX files."""
     images = np.asarray(images)
-    labels = np.asarray(labels)
     if images.ndim != 3 or images.dtype != np.uint8:
         raise ValueError(f"images must be uint8 of shape (n, rows, cols), got {images.dtype} {images.shape}")
-    if labels.shape != (len(images),):
-        raise ValueError(f"{len(images)} images but label shape {labels.shape}")
-    if len(labels) and (labels.min() < 0 or labels.max() >= IDX_CLASSES):
-        raise ValueError(f"labels must lie in [0, {IDX_CLASSES})")
-    files = ((images_path, IDX_IMAGES_MAGIC, images), (labels_path, IDX_LABELS_MAGIC, labels.astype(np.uint8)))
+    labels = check_labels(labels, IDX_CLASSES, len(images)).astype(np.uint8)
+    files = ((images_path, IDX_IMAGES_MAGIC, images), (labels_path, IDX_LABELS_MAGIC, labels))
     for path, magic, a in files:
         with open(path, "wb") as f:
             f.write(struct.pack(f">{1 + a.ndim}I", magic, *a.shape))

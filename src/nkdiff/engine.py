@@ -28,7 +28,6 @@ from .nn import (
     Learner,
     ModelSpec,
     NonFiniteError,
-    SessionStats,
     TrainHyperparams,
     forward_stack,
     pseudolabels,
@@ -36,8 +35,8 @@ from .nn import (
 )
 from .policies import (
     ConfigurationError,
-    PolicyConfig,
     RoundPlan,
+    check_policy,
     group_btb,
     group_eq,
     group_oo,
@@ -89,7 +88,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        PolicyConfig(self.policy, self.capacity).validate_for(self.n_models)
+        check_policy(self.policy, self.capacity, self.n_models)
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
         if self.n_models < 2:
@@ -120,10 +119,10 @@ def run_session(
     X: np.ndarray,
     hp: TrainHyperparams,
     labels: np.ndarray | None = None,
-) -> SessionStats | None:
+) -> float | None:
     """One teaching session: the learner trains for an epoch on the
-    teacher's labels. Returns None (a no-op) when the learner is the
-    oracle. The teacher's parameters are never touched.
+    teacher's labels and its mean loss is returned. Returns None (a no-op)
+    when the learner is the oracle. The teacher's parameters are never touched.
     """
     if learner.is_oracle:
         return None
@@ -245,9 +244,9 @@ def run_experiment(
     ledger = ResourceLedger()
     if cfg.pretrain:
         with _numeric_context(cfg.master_seed, "warm-up"):
-            delta = pretrain_population(pop, train, cfg.hyperparams)
-        ledger.oracle_sessions += delta.oracle_sessions
-        ledger.forward_ops += delta.forward_ops
+            sessions = pretrain_population(pop, train, cfg.hyperparams)
+        ledger.oracle_sessions += sessions
+        ledger.forward_ops += sessions * len(train)
 
     records: list[MetricsRecord] = []
     trainees = pop.trainees

@@ -57,25 +57,23 @@ def _check_classifier(learner: Learner) -> None:
         raise ValueError("the oracle is never evaluated as a classifier")
 
 
-def ensemble_classify(distributions: np.ndarray) -> int:
-    """Class chosen by summed log-probabilities; ties -> lowest index."""
+def ensemble_classify(distributions: np.ndarray) -> np.ndarray:
+    """Class with the highest floored log-probability summed over axis 0, in
+    member order, of a (members, ..., K) array; ties -> lowest index. So a
+    scalar for (members, K), and one label per row for (members, n, K)."""
     dists = np.asarray(distributions, dtype=np.float64)
-    if dists.ndim != 2 or len(dists) == 0:
-        raise ValueError("need a nonempty (members, classes) array")
-    scores = np.log(np.maximum(dists, PROB_FLOOR)).sum(axis=0)
-    return int(np.argmax(scores))
+    if dists.ndim < 2 or len(dists) == 0:
+        raise ValueError("need a nonempty (members, ..., classes) array")
+    return np.argmax(np.add.reduce(np.log(np.maximum(dists, PROB_FLOOR)), axis=0), axis=-1)
 
 
 def ensemble_predict(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
-    """Log-domain vote of the given learners over every row of X."""
+    """:func:`ensemble_classify` vote of the given learners over every row of X."""
     if len(learners) == 0:
         raise ValueError("ensemble needs at least one member")
-    total = None
     for learner in learners:
         _check_classifier(learner)
-        logp = np.log(forward_batch(learner, X))
-        total = logp if total is None else total + logp
-    return np.argmax(total, axis=1)
+    return ensemble_classify(np.stack([forward_batch(learner, X) for learner in learners]))
 
 
 def accuracy(model_or_ensemble, ds: Dataset) -> float:

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import check_labels
+
 # Positivity floor applied to output distributions; keeps log-domain
 # ensemble voting defined when a softmax underflows to 0.
 PROB_FLOOR = 1e-12
@@ -90,14 +92,6 @@ class TrainHyperparams:
 
 
 @dataclass
-class SessionStats:
-    """What one training epoch cost and achieved."""
-
-    mean_loss: float
-    forward_ops: int
-
-
-@dataclass
 class Learner:
     """One classifier in the population.
 
@@ -160,7 +154,7 @@ def init_learner(
     train_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _TRAIN_STREAM, id)))
     labels = None
     if held_labels is not None:
-        labels = np.asarray(held_labels, dtype=np.int64).copy()
+        labels = check_labels(held_labels, spec.n_classes).copy()
     return Learner(
         id=id,
         spec=spec,
@@ -318,16 +312,6 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
     return forward_stack([learner], X)[0]
 
 
-def forward(learner: Learner, x: np.ndarray) -> np.ndarray:
-    """Class distribution for a single feature vector, shape (K,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (learner.spec.input_dim,):
-        raise ValueError(
-            f"expected a vector of width {learner.spec.input_dim}, got shape {x.shape}"
-        )
-    return forward_batch(learner, x[None, :])[0]
-
-
 def predict(learner: Learner, X: np.ndarray) -> np.ndarray:
     """Hard argmax labels for every row of X (ties -> lowest class index)."""
     return np.argmax(forward_batch(learner, X), axis=1)
@@ -346,12 +330,7 @@ def pseudolabels(teacher: Learner, X: np.ndarray) -> np.ndarray:
     if teacher.is_oracle:
         if teacher.held_labels is None:
             raise ValueError("oracle has no label store attached")
-        if len(teacher.held_labels) != len(X):
-            raise ValueError(
-                f"oracle holds {len(teacher.held_labels)} labels "
-                f"but was queried with {len(X)} rows"
-            )
-        return teacher.held_labels.copy()
+        return check_labels(teacher.held_labels, teacher.spec.n_classes, len(X)).copy()
     return predict(teacher, X)
 
 
@@ -374,14 +353,13 @@ def loss_and_gradient(
     The spec keeps the layer views of the last C-contiguous (``params``,
     ``out``) pair, so a loop that passes the same two arrays builds them once.
 
-    ``labels`` must hold one label in [0, K) per row of X (ValueError
-    otherwise). They are checked whenever the views are built: on every call
-    without ``out``, and on the first call with a new pair, so once per
-    ``train_epoch`` epoch (which checks all of its labels itself). Later
-    calls with a remembered pair are not checked.
+    ``labels`` are checked by ``check_labels`` (one per row of X, in [0, K))
+    whenever the views are built: on every call without ``out``, and on the
+    first call with a new pair, so once per ``train_epoch`` epoch (which
+    checks all of its labels itself). Later calls with a remembered pair
+    must pass an int64 vector, which is not checked.
     """
     X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     grad = np.empty_like(params) if out is None else out
     memo = spec._views
     if memo[0] is params and memo[1] is grad and params.shape == grad.shape == (spec._n_params,):
@@ -395,10 +373,7 @@ def loss_and_gradient(
                 f"out must be a C-contiguous float64 flat vector of {spec._n_params} "
                 f"parameters, got {out.dtype} of shape {out.shape}"
             )
-        if labels.shape != (len(X),):
-            raise ValueError(f"{len(X)} rows but labels of shape {labels.shape}")
-        if len(labels) and (labels.min() < 0 or labels.max() >= spec.n_classes):
-            raise ValueError(f"labels must lie in [0, {spec.n_classes})")
+        labels = check_labels(labels, spec.n_classes, len(X))
         layers, grads = unpack_params(spec, params), unpack_params(spec, grad)
         if out is not None and params.flags.c_contiguous:
             object.__setattr__(spec, "_views", (params, out, layers, grads))
@@ -430,27 +405,23 @@ def loss_and_gradient(
 
 def train_epoch(
     learner: Learner, X: np.ndarray, labels: np.ndarray, hp: TrainHyperparams
-) -> SessionStats:
+) -> float:
     """One SGD epoch over (X, labels); mutates the learner's parameters.
 
-    Batch order comes from the learner's own rng stream when shuffling,
-    so sessions on distinct learners are order-independent. Forward-op
-    count is one unit per training example. Raises NonFiniteError if the
-    epoch leaves any parameter NaN or infinite (the learning rate diverged).
+    Returns the mean loss over the epoch's examples. Batch order comes from
+    the learner's own rng stream when shuffling, so sessions on distinct
+    learners are order-independent. Raises NonFiniteError if the epoch
+    leaves any parameter NaN or infinite (the learning rate diverged).
     """
     if learner.is_oracle:
         raise OracleUpdateError("the oracle never updates its parameters")
     X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n = len(X)
     if n == 0:
         raise ValueError("training set is empty")
-    if len(labels) != n:
-        raise ValueError(f"{n} rows but {len(labels)} labels")
+    labels = check_labels(labels, learner.spec.n_classes, n)
     if hp.batch_size > n:
         raise ValueError(f"batch_size {hp.batch_size} exceeds training-set size {n}")
-    if labels.min() < 0 or labels.max() >= learner.spec.n_classes:
-        raise ValueError(f"labels must lie in [0, {learner.spec.n_classes})")
 
     order = learner.rng.permutation(n) if hp.shuffle else np.arange(n)
     # Rows of X are gathered per batch: a shuffled copy of all of X per
@@ -474,4 +445,4 @@ def train_epoch(
             f"learner {learner.id} has non-finite parameters after training "
             f"at learning rate {hp.learning_rate:g}"
         )
-    return SessionStats(mean_loss=total / n, forward_ops=n)
+    return total / n

@@ -36,30 +36,22 @@ class RoundPlan:
     policy_tag: str
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    policy: str
-    capacity: int
-
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ConfigurationError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        if self.capacity < 2:
-            raise ConfigurationError("capacity must be at least 2")
-
-    def validate_for(self, n_models: int) -> None:
-        if self.policy == "pom":
-            if self.capacity != 2:
-                raise ConfigurationError(
-                    "pom admits only pairwise interaction: capacity must be 2"
-                )
-            if n_models % 2 != 0:
-                raise ConfigurationError(f"pom needs an even population, got {n_models}")
-            return
-        if n_models % self.capacity != 0:
-            raise ConfigurationError(
-                f"population {n_models} is not divisible into groups of {self.capacity}"
-            )
+def check_policy(policy: str, capacity: int, n_models: int) -> None:
+    """Raise ConfigurationError unless ``policy`` can split ``n_models``
+    models into groups of ``capacity``."""
+    if policy not in POLICIES:
+        raise ConfigurationError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    if capacity < 2:
+        raise ConfigurationError("capacity must be at least 2")
+    if policy == "pom":
+        if capacity != 2:
+            raise ConfigurationError("pom admits only pairwise interaction: capacity must be 2")
+        if n_models % 2 != 0:
+            raise ConfigurationError(f"pom needs an even population, got {n_models}")
+    elif n_models % capacity != 0:
+        raise ConfigurationError(
+            f"population {n_models} is not divisible into groups of {capacity}"
+        )
 
 
 def group_oo(n_models: int, capacity: int, rng: np.random.Generator) -> RoundPlan:
@@ -77,8 +69,7 @@ def group_pom(n_models: int, rng: np.random.Generator) -> RoundPlan:
     The session where the oracle would be the learner is still planned
     (its partner spends the round teaching it) but the engine skips it.
     """
-    if n_models % 2 != 0:
-        raise ConfigurationError(f"pom needs an even population, got {n_models}")
+    check_policy("pom", 2, n_models)
     perm = rng.permutation(n_models)
     groups: list[tuple[int, tuple[int, ...]]] = []
     for i in range(0, n_models, 2):
@@ -95,10 +86,7 @@ def group_rgbt(v: ValidationScores, capacity: int, rng: np.random.Generator) -> 
     1.0 makes it the teacher of whichever group it lands in.
     """
     n_models = len(v.scores)
-    if n_models % capacity != 0:
-        raise ConfigurationError(
-            f"population {n_models} is not divisible into groups of {capacity}"
-        )
+    check_policy("rgbt", capacity, n_models)
     perm = rng.permutation(n_models)
     groups = []
     for start in range(0, n_models, capacity):
@@ -111,12 +99,9 @@ def group_rgbt(v: ValidationScores, capacity: int, rng: np.random.Generator) -> 
 
 
 def _teachers_and_students(ranked: RankedList, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    n_models = len(ranked.order)
-    if n_models % capacity != 0:
-        raise ConfigurationError(
-            f"population {n_models} is not divisible into groups of {capacity}"
-        )
-    k = n_models // capacity
+    # btb and eq share one grouping rule; either name checks it.
+    check_policy("btb", capacity, len(ranked.order))
+    k = len(ranked.order) // capacity
     descending = ranked.order[::-1]
     return descending[:k], descending[k:]
 

@@ -61,14 +61,6 @@ class RankedList:
     oracle_id: int
 
 
-@dataclass
-class PretrainStats:
-    """Resource cost of the warm-up phase."""
-
-    oracle_sessions: int
-    forward_ops: int
-
-
 def init_population(spec: ModelSpec, n_models: int, oracle_labels: np.ndarray) -> Population:
     """Fresh population: trainees 0..N-2 plus the oracle at id N-1."""
     if n_models < 2:
@@ -101,20 +93,19 @@ def rank_models(v: ValidationScores) -> RankedList:
     return RankedList(order=np.array(ids, dtype=np.int64), oracle_id=v.oracle_id)
 
 
-def pretrain_population(pop: Population, train: Dataset, hp: TrainHyperparams) -> PretrainStats:
+def pretrain_population(pop: Population, train: Dataset, hp: TrainHyperparams) -> int:
     """Warm-up: trainee t runs t+1 epochs on the oracle's labels.
 
     The weakest trainee gets 1 epoch, the strongest N-1, giving the
     population a spread of prior exposure. Every epoch is an oracle
-    session; each learner draws shuffles from its own stream, so the
-    outcome is independent of the order trainees are processed in.
+    session; their count is returned. Each learner draws shuffles from its
+    own stream, so the outcome is independent of the order trainees are
+    processed in.
     """
     labels = pseudolabels(pop.oracle, train.X)
     sessions = 0
-    forward_ops = 0
     for learner in pop.trainees:
         for _ in range(learner.id + 1):
-            stats = train_epoch(learner, train.X, labels, hp)
+            train_epoch(learner, train.X, labels, hp)
             sessions += 1
-            forward_ops += stats.forward_ops
-    return PretrainStats(oracle_sessions=sessions, forward_ops=forward_ops)
+    return sessions

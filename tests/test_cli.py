@@ -390,6 +390,42 @@ class TestSweep:
 INT_IDX_PATHS = {"train_images": 1, "train_labels": 2, "test_images": 3, "test_labels": 4}
 
 
+class TestFlags:
+    def test_policy_flag_ignores_case(self, tmp_path):
+        csvs = {}
+        for policy in ("btb", "BTB"):
+            out = tmp_path / policy
+            assert main(fast_args(tmp_path, "--policy", policy, "--out", str(out))) == EXIT_OK
+            csvs[policy] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        assert len(csvs["btb"]) == 3 and csvs["BTB"] == csvs["btb"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--rounds", "x"],
+            ["run", "--bogus", "1"],
+            ["sweep", "--policy", "boost"],
+            ["run", "--pretrain", "maybe"],
+            ["run", "--noise"],
+            ["train"],
+            [],
+        ],
+        ids=["int_not_a_number", "unknown_flag", "unknown_policy", "bad_choice", "missing_value", "unknown_command", "no_command"],
+    )
+    def test_bad_flag_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nkdiff run")
+
+
 class TestBadInputs:
     """Each bad config exits 2 with one line naming the key, and writes nothing."""
 

@@ -7,13 +7,20 @@ from nkdiff import (
     CorruptionSpec,
     Dataset,
     IdxCountMismatchError,
+    IdxFormatError,
     IdxMagicError,
     IdxTruncatedError,
+    ModelSpec,
+    TrainHyperparams,
     corrupt_labels,
     corruption_indices,
     gen_blobs,
+    init_learner,
     load_idx,
+    loss_and_gradient,
+    pseudolabels,
     split_dataset,
+    train_epoch,
     write_idx,
 )
 
@@ -26,6 +33,81 @@ class TestDataset:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 2]), K=2)
+
+
+LABEL_X = np.random.default_rng(0).standard_normal((4, 3))
+LABEL_SPEC = ModelSpec(layer_widths=(3, 5, 3), seed=2)
+
+
+def _write_idx_labels(tmp_path, y):
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx(images, labels, np.zeros((4, 2, 2), dtype=np.uint8), y)
+    return labels.read_bytes()
+
+
+def _train_epoch(tmp_path, y):
+    learner = init_learner(LABEL_SPEC, 0)
+    loss = train_epoch(learner, LABEL_X, y, TrainHyperparams(0.1, 2))
+    return loss, learner.params
+
+
+# Every public entry point that takes a label vector for 4 rows at K=3 (K=10
+# for IDX files), and what it makes of the labels.
+LABEL_ENTRY_POINTS = {
+    "Dataset": lambda tmp_path, y: Dataset(X=LABEL_X, y=y, K=3).y,
+    "corrupt_labels": lambda tmp_path, y: corrupt_labels(y, CorruptionSpec(fraction=0.5, seed=1), K=3),
+    "write_idx": _write_idx_labels,
+    "train_epoch": _train_epoch,
+    "loss_and_gradient": lambda tmp_path, y: loss_and_gradient(LABEL_SPEC, init_learner(LABEL_SPEC, 0).params, LABEL_X, y),
+    "oracle": lambda tmp_path, y: pseudolabels(init_learner(LABEL_SPEC, 9, is_oracle=True, held_labels=y), LABEL_X),
+}
+GOOD_LABELS = np.array([0, 2, 1, 2], dtype=np.int64)
+# 10 lies outside [0, K) for both K=3 and K=10.
+BAD_LABELS = {
+    "fractional": np.array([0.5, 2.0, 1.0, 2.0]),
+    "nan": np.array([np.nan, 2.0, 1.0, 2.0]),
+    "inf": np.array([np.inf, 2.0, 1.0, 2.0]),
+    "wrong_length": np.array([0, 2, 1]),
+    "matrix": np.array([[0, 2], [1, 2]]),
+    "out_of_range": np.array([10, 2, 1, 2]),
+    "negative": np.array([-1, 2, 1, 2]),
+    "text": np.array(["0", "2", "1", "2"]),
+}
+
+
+def _identical(a, b) -> bool:
+    """Equal bit for bit: arrays in dtype and values, tuples item by item."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_identical(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+class TestLabelContract:
+    """One label check behind every entry point: no label is truncated or wrapped."""
+
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [(e, b) for e in LABEL_ENTRY_POINTS for b in BAD_LABELS if (e, b) != ("corrupt_labels", "wrong_length")],
+    )
+    def test_bad_labels_raise(self, tmp_path, entry, bad):
+        with pytest.raises(ValueError):
+            LABEL_ENTRY_POINTS[entry](tmp_path, BAD_LABELS[bad])
+
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.uint8])
+    def test_whole_floats_and_narrow_ints_match_int64(self, tmp_path, entry, dtype):
+        expected = LABEL_ENTRY_POINTS[entry](tmp_path, GOOD_LABELS)
+        got = LABEL_ENTRY_POINTS[entry](tmp_path, GOOD_LABELS.astype(dtype))
+        assert _identical(got, expected)
+
+    def test_idx_label_file_out_of_range_is_a_format_error(self, tmp_path):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(encode_images(2, 1, 1, [0, 0]))
+        labels.write_bytes(encode_labels(2, [3, 12]))
+        with pytest.raises(IdxFormatError, match=r"lab\.idx: labels must lie in \[0, 10\), found 12"):
+            load_idx(images, labels)
 
 
 class TestGenBlobs:

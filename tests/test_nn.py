@@ -15,7 +15,6 @@ from nkdiff import (
     OracleUpdateError,
     PROB_FLOOR,
     TrainHyperparams,
-    forward,
     forward_batch,
     gen_blobs,
     init_learner,
@@ -101,18 +100,18 @@ class TestForward:
         rng = np.random.default_rng(0)
         for i in range(20):
             learner = init_learner(small_spec, i)
-            p = forward(learner, rng.normal(size=4))
+            p = forward_batch(learner, rng.normal(size=4)[None])[0]
             assert abs(p.sum() - 1.0) <= 1e-9
             assert np.all(p >= PROB_FLOOR)
 
     def test_zero_params_is_uniform(self, zero_learner):
-        p = forward(zero_learner, np.ones(4))
+        p = forward_batch(zero_learner, np.ones((1, 4)))[0]
         assert np.allclose(p, np.full(3, 1.0 / 3.0), atol=0, rtol=0)
 
     def test_dimension_mismatch(self, small_spec):
         learner = init_learner(small_spec, 0)
         with pytest.raises(ValueError):
-            forward(learner, np.ones(5))
+            forward_batch(learner, np.ones((1, 5)))
         with pytest.raises(ValueError):
             forward_batch(learner, np.ones((3, 7)))
 
@@ -124,13 +123,13 @@ class TestForward:
             learner = init_learner(spec, trial)
             x = rng.normal(size=widths[0])
             expected = naive_forward(widths, learner.params, x)
-            got = forward(learner, x)
+            got = forward_batch(learner, x[None])[0]
             assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
     def test_extreme_inputs_stay_valid(self, small_spec):
         learner = init_learner(small_spec, 0)
         for x in (np.full(4, 1e8), np.full(4, -1e8), np.array([1e8, -1e8, 0.0, 1.0])):
-            p = forward(learner, x)
+            p = forward_batch(learner, x[None])[0]
             assert np.all(np.isfinite(p))
             assert np.all(p >= PROB_FLOOR)
             assert abs(p.sum() - 1.0) <= 1e-9
@@ -266,20 +265,19 @@ class TestTrainEpoch:
     def test_zero_learning_rate_keeps_params(self, small_spec, small_blobs):
         learner = init_learner(small_spec, 0)
         before = learner.params.copy()
-        stats = train_epoch(
+        loss = train_epoch(
             learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.0, 16)
         )
         assert np.array_equal(learner.params, before)
-        assert math.isfinite(stats.mean_loss)
-        assert stats.forward_ops == len(small_blobs)
+        assert isinstance(loss, float) and math.isfinite(loss)
 
     def test_loss_descends_on_separable_blobs(self):
         ds = gen_blobs(n_per_class=60, K=2, d=2, centers_scale=4.0, noise_sigma=0.3, seed=1)
         spec = ModelSpec(layer_widths=(2, 8, 2), seed=0)
         learner = init_learner(spec, 0)
         hp = TrainHyperparams(0.1, 16)
-        first = train_epoch(learner, ds.X, ds.y, hp).mean_loss
-        second = train_epoch(learner, ds.X, ds.y, hp).mean_loss
+        first = train_epoch(learner, ds.X, ds.y, hp)
+        second = train_epoch(learner, ds.X, ds.y, hp)
         assert second < first
 
     def test_deterministic_given_state(self, small_spec, small_blobs, hp):

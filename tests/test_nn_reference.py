@@ -18,6 +18,8 @@ from nkdiff import (
     ModelSpec,
     NonFiniteError,
     TrainHyperparams,
+    ensemble_classify,
+    ensemble_predict,
     forward_batch,
     forward_stack,
     gen_blobs,
@@ -109,6 +111,14 @@ def ref_train_epoch(learner, X, labels, hp):
     return total / n
 
 
+def ref_ensemble_predict(learners, X):
+    total = None
+    for learner in learners:
+        logp = np.log(ref_forward_batch(learner, X))
+        total = logp if total is None else total + logp
+    return np.argmax(total, axis=1)
+
+
 # At K >= 8 numpy sums the class axis pairwise, not left to right.
 WIDTHS = [(4, 5, 3), (10, 16, 3), (6, 8, 8, 4), (12, 16, 10)]
 
@@ -129,8 +139,7 @@ def test_three_epochs_match_reference_bit_for_bit(widths, shuffle):
     learner = init_learner(ModelSpec(layer_widths=widths, seed=3), 1)
     twin = copy.deepcopy(learner)
     for _ in range(3):
-        stats = train_epoch(learner, ds.X, ds.y, hp)
-        assert stats.mean_loss == ref_train_epoch(twin, ds.X, ds.y, hp)
+        assert train_epoch(learner, ds.X, ds.y, hp) == ref_train_epoch(twin, ds.X, ds.y, hp)
     assert np.array_equal(learner.params, twin.params)
     assert not np.array_equal(learner.params, init_learner(learner.spec, 1).params)
 
@@ -245,3 +254,59 @@ def test_forward_stack_names_the_first_non_finite_learner():
         forward_stack(learners, X)
     with pytest.raises(NonFiniteError, match=r"^learner 6 "):
         forward_stack(learners[:4] + learners[5:], X)
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 8, 9, 17])
+@pytest.mark.parametrize("K", [2, 3, 10])
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_ensemble_predict_matches_sequential_vote_bit_for_bit(n_members, K, tied):
+    spec = ModelSpec(layer_widths=(6, 12, K), seed=K)
+    learners = [init_learner(spec, i) for i in range(n_members)]
+    for learner in learners:
+        # Near-uniform outputs make close votes, where the summation order shows.
+        learner.params *= 0.1
+    if tied:
+        # Each odd member repeats the one before it; the last has equal logits on every row.
+        for first, second in zip(learners[::2], learners[1::2]):
+            second.params[:] = first.params
+        w, b = unpack_params(spec, learners[-1].params)[-1]
+        w[...] = 0.0
+        b[...] = 0.5
+    X = np.random.default_rng(n_members).standard_normal((200, 6))
+    assert np.array_equal(ensemble_predict(learners, X), ref_ensemble_predict(learners, X))
+
+
+@pytest.mark.parametrize("n_members", [3, 8, 9, 17])
+def test_ensemble_predict_sums_mirrored_members_in_member_order(n_members):
+    # At K=2, swapping a learner's output columns swaps its distribution exactly.
+    # Member L-1-j mirrors member j (a middle member has equal logits), so the
+    # two class totals add the same terms in opposite orders: only rounding
+    # separates them, and only the sequential order in member order
+    # reproduces the reference's votes.
+    spec = ModelSpec(layer_widths=(6, 12, 2), seed=4)
+    learners = [init_learner(spec, i) for i in range(n_members)]
+    for j in range(n_members // 2):
+        w, b = unpack_params(spec, learners[j].params)[-1]
+        mirror_w, mirror_b = unpack_params(spec, learners[-1 - j].params)[-1]
+        learners[-1 - j].params[:] = learners[j].params
+        mirror_w[...] = w[:, ::-1]
+        mirror_b[...] = b[::-1]
+    if n_members % 2:
+        w, b = unpack_params(spec, learners[n_members // 2].params)[-1]
+        w[...] = 0.0
+        b[...] = 0.5
+    X = np.random.default_rng(n_members).standard_normal((400, 6))
+    expected = ref_ensemble_predict(learners, X)
+    assert 0 < expected.sum() < len(X)
+    assert np.array_equal(ensemble_predict(learners, X), expected)
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 9])
+def test_ensemble_classify_of_a_stack_equals_row_by_row_votes(n_members):
+    rng = np.random.default_rng(n_members)
+    dists = rng.dirichlet(np.ones(4), size=(n_members, 30))
+    dists[:, :4] = 0.25  # tied rows
+    dists[0, 4:8, 1:] = 0.0  # entries below the floor
+    votes = ensemble_classify(dists)
+    assert votes.shape == (30,)
+    assert np.array_equal(votes, [ensemble_classify(dists[:, i]) for i in range(30)])

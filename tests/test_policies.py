@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nkdiff import (
     ConfigurationError,
-    PolicyConfig,
+    check_policy,
     RankedList,
     ValidationScores,
     group_btb,
@@ -62,20 +62,20 @@ def eq_reference(ascending, capacity):
 class TestPolicyConfig:
     def test_pom_requires_capacity_two(self):
         with pytest.raises(ConfigurationError):
-            PolicyConfig("pom", 5).validate_for(10)
+            check_policy("pom", 5, 10)
 
     def test_pom_requires_even_population(self):
         with pytest.raises(ConfigurationError):
-            PolicyConfig("pom", 2).validate_for(9)
+            check_policy("pom", 2, 9)
 
     def test_group_policies_require_divisibility(self):
         with pytest.raises(ConfigurationError):
-            PolicyConfig("btb", 3).validate_for(10)
-        PolicyConfig("btb", 5).validate_for(10)
+            check_policy("btb", 3, 10)
+        check_policy("btb", 5, 10)
 
     def test_unknown_policy(self):
         with pytest.raises(ConfigurationError):
-            PolicyConfig("boost", 2)
+            check_policy("boost", 2, 10)
 
 
 class TestOracleOnly:

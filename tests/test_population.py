@@ -115,9 +115,7 @@ class TestPretrain:
         train, _ = blob_task
         pop = make_population(train, n_models=10)
         hp = TrainHyperparams(0.05, 16)
-        stats = pretrain_population(pop, train, hp)
-        assert stats.oracle_sessions == sum(range(1, 10))  # 45
-        assert stats.forward_ops == 45 * len(train)
+        assert pretrain_population(pop, train, hp) == sum(range(1, 10))  # 45
 
     def test_deterministic(self, blob_task):
         train, _ = blob_task
