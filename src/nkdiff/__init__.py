@@ -69,8 +69,6 @@ from .policies import (
 )
 from .population import (
     Population,
-    RankedList,
-    ValidationScores,
     evaluate_validation,
     init_population,
     pretrain_population,

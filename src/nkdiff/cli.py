@@ -140,7 +140,7 @@ def _check(value, kind, path: str) -> None:
 
 
 def check_config(config: dict, sweep: bool) -> None:
-    """Check every key of a resolved config against SCHEMA, once.
+    """Check every key of a resolved config against SCHEMA, once; fold policy names to lower case.
 
     Only a sweep may carry axes; each is a non-empty list of distinct values
     of its key's type. Ranges are left to the classes the values configure.
@@ -151,15 +151,17 @@ def check_config(config: dict, sweep: bool) -> None:
     # None marks an unset key: merge_config never sets one from a layer.
     given = {k: v for k, v in config.items() if k not in SWEEP_AXES and v is not None}
     _check(given, {key: kind for key, (kind, _) in SCHEMA.items()}, "")
+    # Policy names are case-insensitive; the manifest and its hash see one spelling.
+    config["policy"] = config["policy"].lower()
     for axis in axes:
         values, key = config[axis], SWEEP_AXES[axis]
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"sweep axis {axis} must be a non-empty list, got {values!r}")
         for value in values:
             _check(value, SCHEMA[key][0], f"{axis}: {key}")
-        # Policy names are case-insensitive.
-        folded = [v.lower() if isinstance(v, str) else v for v in values]
-        if len(set(folded)) < len(folded):
+        if key == "policy":
+            config[axis] = values = [v.lower() for v in values]
+        if len(set(values)) < len(values):
             raise ConfigurationError(f"sweep axis {axis} repeats an entry: {values!r}")
 
 
@@ -197,7 +199,7 @@ def build_experiments(config: dict) -> list[ExperimentConfig]:
     )
     return [
         ExperimentConfig(
-            policy=config["policy"].lower(),
+            policy=config["policy"],
             n_models=config["n"],
             capacity=config["c"],
             rounds=config["rounds"],
@@ -296,7 +298,7 @@ def cmd_sweep(config: dict) -> int:
     # Every cell is validated, and named apart, before the first one runs and writes.
     planned, named = [], {}
     for policy, c, pretrain, noise in itertools.product(*grid):
-        values = {"policy": policy.lower(), "c": c, "pretrain": pretrain, "noise": noise}
+        values = {"policy": policy, "c": c, "pretrain": pretrain, "noise": noise}
         cell = merge_config(base, values)
         name = _cell_name(cell["policy"], c, pretrain, noise, cell["random_labels"])
         try:

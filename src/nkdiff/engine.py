@@ -62,7 +62,6 @@ class ResourceLedger:
 
     oracle_sessions: int = 0
     forward_ops: int = 0
-    rounds_completed: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,18 +117,16 @@ def run_session(
     learner: Learner,
     X: np.ndarray,
     hp: TrainHyperparams,
-    labels: np.ndarray | None = None,
+    labels: np.ndarray,
 ) -> float | None:
     """One teaching session: the learner trains for an epoch on the
-    teacher's labels and its mean loss is returned. Returns None (a no-op)
+    teacher's ``labels`` and its mean loss is returned. Returns None (a no-op)
     when the learner is the oracle. The teacher's parameters are never touched.
     """
     if learner.is_oracle:
         return None
     if teacher.id == learner.id:
         raise ValueError(f"model {learner.id} cannot be its own teacher")
-    if labels is None:
-        labels = pseudolabels(teacher, X)
     return train_epoch(learner, X, labels, hp)
 
 
@@ -139,17 +136,17 @@ def run_round(
     train: Dataset,
     hp: TrainHyperparams,
     ledger: ResourceLedger,
-    capacity: int | None = None,
-    master_seed: int | None = None,
-    round_index: int = 0,
+    capacity: int,
+    master_seed: int,
+    round_index: int,
 ) -> None:
     """Execute every session of a plan and charge the ledger.
 
     Teacher labels are computed once per teacher from pre-round
     parameters, before any session runs, so teachers are frozen within
-    the round. With ``master_seed`` set, each session's shuffle stream is
-    re-keyed to (master_seed, round_index, learner id). Sessions touch
-    disjoint learners and run one after another in plan order.
+    the round. Each session's shuffle stream is re-keyed to (master_seed,
+    round_index, learner id). Sessions touch disjoint learners and run one
+    after another in plan order.
     """
     validate_plan(plan, pop.n, capacity)
 
@@ -168,13 +165,11 @@ def run_round(
             label_cache[teacher.id] = pseudolabels(teacher, train.X)
 
     for teacher, learner in sessions:
-        if master_seed is not None:
-            learner.rng = session_stream(master_seed, round_index, learner.id)
-        run_session(teacher, learner, train.X, hp, labels=label_cache[teacher.id])
+        learner.rng = session_stream(master_seed, round_index, learner.id)
+        run_session(teacher, learner, train.X, hp, label_cache[teacher.id])
 
     ledger.oracle_sessions += sum(1 for teacher, _ in sessions if teacher.is_oracle)
     ledger.forward_ops += len(train) * len(sessions)
-    ledger.rounds_completed += 1
 
 
 def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index: int) -> RoundPlan:
@@ -201,17 +196,23 @@ def prepare_data(
     """Build (train, val, test) and apply label corruption to train only.
 
     ``datasets``, if given, are the sets ``build_datasets(cfg.dataset)``
-    returns; only the corruption is applied to them. Raises
-    ConfigurationError if the batch size exceeds the training set.
+    returns; only the corruption is applied to them. Raises ValueError if a
+    split has no rows or features, or other features than the training set,
+    or the batch size exceeds the training set.
     """
     train, val, test = build_datasets(cfg.dataset) if datasets is None else datasets
+    _check_data(cfg, train, val, test)
     if cfg.corruption is not None:
         train = train.with_labels(corrupt_labels(train.y, cfg.corruption, train.K))
-    _check_batch_size(cfg, train)
     return train, val, test
 
 
-def _check_batch_size(cfg: ExperimentConfig, train: Dataset) -> None:
+def _check_data(cfg: ExperimentConfig, train: Dataset, val: Dataset, test: Dataset) -> None:
+    for ds in (train, val, test):
+        if len(ds) == 0 or ds.n_features == 0:
+            raise ValueError(f"{ds.split} split is empty: {len(ds)} rows of {ds.n_features} features")
+        if ds.n_features != train.n_features:
+            raise ValueError(f"{ds.split} split has {ds.n_features} features, the train split {train.n_features}")
     if cfg.hyperparams.batch_size > len(train):
         raise ConfigurationError(
             f"batch_size {cfg.hyperparams.batch_size} exceeds training set of {len(train)}"
@@ -234,7 +235,7 @@ def run_experiment(
     ``(seed S, warm-up)`` appended to its message.
     """
     train, val, test = prepare_data(cfg) if data is None else data
-    _check_batch_size(cfg, train)
+    _check_data(cfg, train, val, test)
 
     spec = ModelSpec(
         layer_widths=(train.n_features, *cfg.hidden_widths, train.K),

@@ -9,8 +9,9 @@ Five policies, ordered by how much coordination they assume:
 * ``eq``   - the k best models teach; students are dealt round-robin so each
              group spans the ability range.
 
-``btb`` and ``eq`` are pure functions of the rank order; only ``oo``,
-``pom`` and ``rgbt`` consume randomness.
+Planners take plain arrays (scores by id, or ids in ascending score order)
+and the oracle is always the last id. ``btb`` and ``eq`` are pure functions
+of the rank order; only ``oo``, ``pom`` and ``rgbt`` consume randomness.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .population import RankedList, ValidationScores
 
 POLICIES = ("oo", "pom", "rgbt", "btb", "eq")
 
@@ -37,13 +36,17 @@ class RoundPlan:
 
 
 def check_policy(policy: str, capacity: int, n_models: int) -> None:
-    """Raise ConfigurationError unless ``policy`` can split ``n_models``
-    models into groups of ``capacity``."""
+    """Raise ConfigurationError unless ``policy`` can plan rounds of
+    ``n_models`` models in groups of ``capacity``; ``oo``'s one group needs
+    only C <= N, the others split every model into groups of C."""
     if policy not in POLICIES:
         raise ConfigurationError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     if capacity < 2:
         raise ConfigurationError("capacity must be at least 2")
-    if policy == "pom":
+    if policy == "oo":
+        if capacity > n_models:
+            raise ConfigurationError(f"capacity {capacity} exceeds population {n_models}")
+    elif policy == "pom":
         if capacity != 2:
             raise ConfigurationError("pom admits only pairwise interaction: capacity must be 2")
         if n_models % 2 != 0:
@@ -56,11 +59,9 @@ def check_policy(policy: str, capacity: int, n_models: int) -> None:
 
 def group_oo(n_models: int, capacity: int, rng: np.random.Generator) -> RoundPlan:
     """One group: the oracle teaches C-1 trainees sampled without replacement."""
-    if capacity - 1 > n_models - 1:
-        raise ConfigurationError(f"capacity {capacity} exceeds population {n_models}")
-    oracle_id = n_models - 1
+    check_policy("oo", capacity, n_models)
     chosen = rng.choice(n_models - 1, size=capacity - 1, replace=False)
-    return RoundPlan(groups=[(oracle_id, tuple(int(i) for i in chosen))], policy_tag="oo")
+    return RoundPlan(groups=[(n_models - 1, tuple(int(i) for i in chosen))], policy_tag="oo")
 
 
 def group_pom(n_models: int, rng: np.random.Generator) -> RoundPlan:
@@ -79,37 +80,37 @@ def group_pom(n_models: int, rng: np.random.Generator) -> RoundPlan:
     return RoundPlan(groups=groups, policy_tag="pom")
 
 
-def group_rgbt(v: ValidationScores, capacity: int, rng: np.random.Generator) -> RoundPlan:
+def group_rgbt(scores: np.ndarray, capacity: int, rng: np.random.Generator) -> RoundPlan:
     """Random partition into groups of C; each group's best member teaches.
 
     Teacher ties break toward the lower id. The oracle's fixed score of
     1.0 makes it the teacher of whichever group it lands in.
     """
-    n_models = len(v.scores)
+    n_models = len(scores)
     check_policy("rgbt", capacity, n_models)
     perm = rng.permutation(n_models)
     groups = []
     for start in range(0, n_models, capacity):
         members = [int(i) for i in perm[start : start + capacity]]
-        # highest score teaches; the oracle outranks a trainee that also
-        # scores 1.0; remaining ties go to the lower id
-        teacher = min(members, key=lambda i: (-v.scores[i], i != v.oracle_id, i))
+        # highest score teaches; the oracle (id N-1) outranks a trainee that
+        # also scores 1.0; remaining ties go to the lower id
+        teacher = min(members, key=lambda i: (-scores[i], i != n_models - 1, i))
         groups.append((teacher, tuple(i for i in members if i != teacher)))
     return RoundPlan(groups=groups, policy_tag="rgbt")
 
 
-def _teachers_and_students(ranked: RankedList, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+def _teachers_and_students(order: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
     # btb and eq share one grouping rule; either name checks it.
-    check_policy("btb", capacity, len(ranked.order))
-    k = len(ranked.order) // capacity
-    descending = ranked.order[::-1]
+    check_policy("btb", capacity, len(order))
+    k = len(order) // capacity
+    descending = order[::-1]
     return descending[:k], descending[k:]
 
 
-def group_btb(ranked: RankedList, capacity: int) -> RoundPlan:
+def group_btb(order: np.ndarray, capacity: int) -> RoundPlan:
     """Top-k models teach; the remainder splits best-first into contiguous
     buckets of C-1, best bucket to best teacher. Deterministic."""
-    teachers, students = _teachers_and_students(ranked, capacity)
+    teachers, students = _teachers_and_students(order, capacity)
     buckets = students.reshape(len(teachers), capacity - 1)
     groups = [
         (int(teacher), tuple(int(s) for s in bucket))
@@ -118,10 +119,10 @@ def group_btb(ranked: RankedList, capacity: int) -> RoundPlan:
     return RoundPlan(groups=groups, policy_tag="btb")
 
 
-def group_eq(ranked: RankedList, capacity: int) -> RoundPlan:
+def group_eq(order: np.ndarray, capacity: int) -> RoundPlan:
     """Top-k models teach; students are dealt round-robin from best to
     worst, so every group spans the accuracy range. Deterministic."""
-    teachers, students = _teachers_and_students(ranked, capacity)
+    teachers, students = _teachers_and_students(order, capacity)
     k = len(teachers)
     groups = [
         (int(teacher), tuple(int(s) for s in students[j::k]))
@@ -130,7 +131,7 @@ def group_eq(ranked: RankedList, capacity: int) -> RoundPlan:
     return RoundPlan(groups=groups, policy_tag="eq")
 
 
-def validate_plan(plan: RoundPlan, n_models: int, capacity: int | None = None) -> None:
+def validate_plan(plan: RoundPlan, n_models: int, capacity: int) -> None:
     """Check the structural invariants a plan must satisfy.
 
     Pairwise plans: every model appears exactly once as teacher and once
@@ -145,7 +146,7 @@ def validate_plan(plan: RoundPlan, n_models: int, capacity: int | None = None) -
             raise ValueError(f"learner ids {learners} out of range")
         if teacher in learners:
             raise ValueError(f"model {teacher} assigned to teach itself")
-        if capacity is not None and len(learners) > capacity - 1:
+        if len(learners) > capacity - 1:
             raise ValueError(
                 f"group of teacher {teacher} has {len(learners)} learners, "
                 f"capacity allows {capacity - 1}"

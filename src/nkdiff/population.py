@@ -23,14 +23,13 @@ class Population:
     """Learners with ids 0..N-1; the last one is the oracle."""
 
     learners: list[Learner]
-    oracle_id: int
 
     def __post_init__(self):
-        oracles = [l.id for l in self.learners if l.is_oracle]
-        if oracles != [self.oracle_id]:
-            raise ValueError(f"expected exactly one oracle with id {self.oracle_id}, got {oracles}")
         if [l.id for l in self.learners] != list(range(len(self.learners))):
             raise ValueError("learner ids must be 0..N-1 in order")
+        oracles = [l.id for l in self.learners if l.is_oracle]
+        if oracles != [len(self.learners) - 1]:
+            raise ValueError(f"expected exactly one oracle, the last learner; got oracle ids {oracles}")
 
     @property
     def n(self) -> int:
@@ -38,27 +37,11 @@ class Population:
 
     @property
     def oracle(self) -> Learner:
-        return self.learners[self.oracle_id]
+        return self.learners[-1]
 
     @property
     def trainees(self) -> list[Learner]:
-        return [l for l in self.learners if not l.is_oracle]
-
-
-@dataclass
-class ValidationScores:
-    """Per-learner validation accuracy; the oracle's slot is fixed at 1.0."""
-
-    scores: np.ndarray
-    oracle_id: int
-
-
-@dataclass
-class RankedList:
-    """Ids in ascending score order; position i holds the (i+1)-th lowest."""
-
-    order: np.ndarray
-    oracle_id: int
+        return self.learners[:-1]
 
 
 def init_population(spec: ModelSpec, n_models: int, oracle_labels: np.ndarray) -> Population:
@@ -69,28 +52,23 @@ def init_population(spec: ModelSpec, n_models: int, oracle_labels: np.ndarray) -
     learners.append(
         init_learner(spec, n_models - 1, is_oracle=True, held_labels=oracle_labels)
     )
-    return Population(learners=learners, oracle_id=n_models - 1)
+    return Population(learners)
 
 
-def evaluate_validation(pop: Population, val: Dataset) -> ValidationScores:
-    """Validation accuracy of every trainee; the oracle scores 1.0 by convention."""
-    if len(val) == 0:
-        raise ValueError("validation set is empty")
-    scores = np.empty(pop.n, dtype=np.float64)
-    for learner in pop.learners:
-        scores[learner.id] = ORACLE_SCORE if learner.is_oracle else accuracy(learner, val)
-    return ValidationScores(scores=scores, oracle_id=pop.oracle_id)
+def evaluate_validation(pop: Population, val: Dataset) -> np.ndarray:
+    """Validation accuracy of every learner by id; the oracle scores 1.0 by convention."""
+    return np.array([accuracy(l, val) for l in pop.trainees] + [ORACLE_SCORE])
 
 
-def rank_models(v: ValidationScores) -> RankedList:
-    """Stable ascending sort of ids by score.
+def rank_models(scores: np.ndarray) -> np.ndarray:
+    """Ids in ascending score order, as int64; the last id is the oracle's.
 
     Ties break toward the lower id; the oracle is always ranked last,
     even if a trainee also scores 1.0.
     """
-    ids = sorted(range(len(v.scores)), key=lambda i: (v.scores[i], i))
-    ids = [i for i in ids if i != v.oracle_id] + [v.oracle_id]
-    return RankedList(order=np.array(ids, dtype=np.int64), oracle_id=v.oracle_id)
+    oracle_id = len(scores) - 1
+    ids = sorted(range(oracle_id), key=lambda i: (scores[i], i))
+    return np.array(ids + [oracle_id], dtype=np.int64)
 
 
 def pretrain_population(pop: Population, train: Dataset, hp: TrainHyperparams) -> int:

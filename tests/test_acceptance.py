@@ -28,7 +28,6 @@ from nkdiff import (
     IdxMagicError,
     IdxTruncatedError,
     ModelSpec,
-    RankedList,
     TrainHyperparams,
     accuracy,
     corrupt_labels,
@@ -147,7 +146,7 @@ def test_criterion_02_grouping_matches_brute_force():
     for _ in range(10_000):
         n = int(rng.choice([4, 6, 8, 10, 12]))
         order = rng.permutation(n).tolist()
-        ranked = RankedList(order=np.array(order), oracle_id=order[-1])
+        ranked = np.array(order)
         for capacity in sorted({2, n // 2}):
             got_btb = group_btb(ranked, capacity).groups
             got_eq = group_eq(ranked, capacity).groups

@@ -86,6 +86,16 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "pairwise" in capsys.readouterr().err
 
+    def test_oo_capacity_need_not_divide_population(self, tmp_path):
+        config = {"blobs": FAST_BLOBS, "rounds": 3, "seeds": 1, "policy": "oo", "c": 3}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "run_0.csv").read_text().splitlines()]
+        column = rows[0].index("oracle_sessions")
+        assert [float(row[column]) for row in rows[1:]] == [2.0, 4.0, 6.0]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = fast_args(tmp_path)
         assert main(args) == EXIT_OK
@@ -202,6 +212,29 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "train_images.idx" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ({"test": (0, 3, 3)}, "test split is empty: 0 rows of 9 features"),
+            ({"train": (80, 0, 0), "test": (30, 0, 0)}, "train split is empty: 64 rows of 0 features"),
+            ({"test": (30, 4, 4)}, "test split has 16 features, the train split 9"),
+        ],
+        ids=["no_test_images", "zero_pixel_images", "test_images_of_another_size"],
+    )
+    def test_unusable_idx_split_is_config_error_without_output(self, tmp_path, capsys, shapes, message):
+        paths = write_idx_files(tmp_path)
+        for part, shape in shapes.items():
+            labels = np.zeros(shape[0], dtype=np.uint8)
+            write_idx(paths[f"{part}_images"], paths[f"{part}_labels"], np.zeros(shape, dtype=np.uint8), labels)
+        config = {"dataset": "idx", "idx": {**paths, "val_frac": 0.2, "seed": 1}, "seeds": 1, "batch_size": 8}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
         assert not out.exists()
 
     def test_diverging_learning_rate_is_numeric_error(self, tmp_path, capsys):
@@ -377,6 +410,15 @@ class TestSweep:
         assert "'noise': 0.1}" in err and "'noise': 0.1000001}" in err
         assert not out.exists()
 
+    def test_oo_runs_at_every_capacity_within_population(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, {"policies": ["oo", "btb"], "capacities": [2, 3]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipping cell ")]
+        assert len(skipped) == 1 and skipped[0].startswith("skipping cell btb_c3_")
+        cells = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert cells == ["btb_c2_preoff_noise0", "oo_c2_preoff_noise0", "oo_c3_preoff_noise0"]
+
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
         path = self.sweep_config(
             tmp_path, {"policies": ["btb"], "capacities": [2, 5], "noise_levels": [0.0, 0.4]}
@@ -398,6 +440,17 @@ class TestFlags:
             assert main(fast_args(tmp_path, "--policy", policy, "--out", str(out))) == EXIT_OK
             csvs[policy] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
         assert len(csvs["btb"]) == 3 and csvs["BTB"] == csvs["btb"]
+
+    def test_policy_case_in_a_config_file_leaves_the_manifest_alone(self, tmp_path):
+        out = tmp_path / "out"
+        manifests = []
+        for policy in ("BTB", "btb"):
+            path = tmp_path / f"{policy}.json"
+            path.write_text(json.dumps({"blobs": FAST_BLOBS, "rounds": 2, "seeds": 1, "n": 4, "policy": policy}))
+            assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["policy"] == "btb"
 
     @pytest.mark.parametrize(
         "argv",

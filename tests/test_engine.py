@@ -21,6 +21,7 @@ from nkdiff import (
     init_learner,
     init_population,
     prepare_data,
+    pseudolabels,
     run_experiment,
     run_round,
     run_session,
@@ -49,7 +50,7 @@ class TestRunSession:
         learner = pop.learners[0]
         twin = copy.deepcopy(learner)
         hp = TrainHyperparams(0.1, 16)
-        run_session(pop.oracle, learner, train.X, hp)
+        run_session(pop.oracle, learner, train.X, hp, pseudolabels(pop.oracle, train.X))
         train_epoch(twin, train.X, train.y, hp)
         assert np.array_equal(learner.params, twin.params)
 
@@ -58,14 +59,14 @@ class TestRunSession:
         pop = make_population(train, n_models=4)
         teacher, learner = pop.learners[1], pop.learners[0]
         snapshot = teacher.params.copy()
-        run_session(teacher, learner, train.X, TrainHyperparams(0.1, 16))
+        run_session(teacher, learner, train.X, TrainHyperparams(0.1, 16), pseudolabels(teacher, train.X))
         assert np.array_equal(teacher.params, snapshot)
 
     def test_oracle_learner_is_noop(self, task):
         train, _, _ = task
         pop = make_population(train, n_models=4)
         snapshot = pop.oracle.params.copy()
-        stats = run_session(pop.learners[0], pop.oracle, train.X, TrainHyperparams(0.1, 16))
+        stats = run_session(pop.learners[0], pop.oracle, train.X, TrainHyperparams(0.1, 16), train.y)
         assert stats is None
         assert np.array_equal(pop.oracle.params, snapshot)
 
@@ -73,7 +74,7 @@ class TestRunSession:
         train, _, _ = task
         pop = make_population(train, n_models=4)
         with pytest.raises(ValueError):
-            run_session(pop.learners[0], pop.learners[0], train.X, TrainHyperparams(0.1, 16))
+            run_session(pop.learners[0], pop.learners[0], train.X, TrainHyperparams(0.1, 16), train.y)
 
 
 class TestRunRoundAccounting:
@@ -84,10 +85,9 @@ class TestRunRoundAccounting:
 
         plan = group_btb(rank_models(evaluate_validation(pop, val)), 5)
         ledger = ResourceLedger()
-        assert run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=5) is None
+        assert run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=5, master_seed=0, round_index=1) is None
         assert ledger.oracle_sessions == 4
         assert ledger.forward_ops == 8 * len(train)
-        assert ledger.rounds_completed == 1
 
     def test_oo_full_capacity(self, task):
         train, _, _ = task
@@ -96,7 +96,7 @@ class TestRunRoundAccounting:
 
         plan = group_oo(10, 10, np.random.default_rng(0))
         ledger = ResourceLedger()
-        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=10)
+        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=10, master_seed=0, round_index=1)
         assert ledger.oracle_sessions == 9
         assert ledger.forward_ops == 9 * len(train)
 
@@ -108,7 +108,7 @@ class TestRunRoundAccounting:
         plan = group_pom(10, np.random.default_rng(0))
         assert len(plan.groups) == 10  # planned sessions incl. oracle's own
         ledger = ResourceLedger()
-        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=2)
+        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=2, master_seed=0, round_index=1)
         assert ledger.oracle_sessions == 1
         assert ledger.forward_ops == 9 * len(train)
 
@@ -117,14 +117,14 @@ class TestRunRoundAccounting:
         pop = make_population(train, n_models=4)
         plan = RoundPlan(groups=[(3, (0, 1, 2))], policy_tag="oo")
         with pytest.raises(ValueError):
-            run_round(pop, plan, train, TrainHyperparams(0.1, 16), ResourceLedger(), capacity=2)
+            run_round(pop, plan, train, TrainHyperparams(0.1, 16), ResourceLedger(), capacity=2, master_seed=0, round_index=1)
 
     def test_duplicate_learner_rejected(self, task):
         train, _, _ = task
         pop = make_population(train, n_models=4)
         plan = RoundPlan(groups=[(3, (0,)), (1, (0,))], policy_tag="btb")
         with pytest.raises(ValueError):
-            run_round(pop, plan, train, TrainHyperparams(0.1, 16), ResourceLedger())
+            run_round(pop, plan, train, TrainHyperparams(0.1, 16), ResourceLedger(), capacity=4, master_seed=0, round_index=1)
 
     def test_teacher_frozen_within_round(self, task):
         # the second learner of a teacher sees the same labels as the first
@@ -133,10 +133,10 @@ class TestRunRoundAccounting:
         pop_b = make_population(train, n_models=4, seed=1)
         hp = TrainHyperparams(0.1, 16)
         plan = RoundPlan(groups=[(3, (0, 1, 2))], policy_tag="oo")
-        run_round(pop_a, plan, train, hp, ResourceLedger(), master_seed=5, round_index=1)
+        run_round(pop_a, plan, train, hp, ResourceLedger(), capacity=4, master_seed=5, round_index=1)
         # reversed learner order must give identical parameters
         plan_rev = RoundPlan(groups=[(3, (2, 1, 0))], policy_tag="oo")
-        run_round(pop_b, plan_rev, train, hp, ResourceLedger(), master_seed=5, round_index=1)
+        run_round(pop_b, plan_rev, train, hp, ResourceLedger(), capacity=4, master_seed=5, round_index=1)
         for a, b in zip(pop_a.learners, pop_b.learners):
             assert np.array_equal(a.params, b.params)
 
@@ -151,8 +151,8 @@ class TestRunRoundAccounting:
         hp = TrainHyperparams(0.1, 16)
         pop_a = make_population(train, seed=4)
         pop_b = make_population(train, seed=4)
-        run_round(pop_a, plan, train, hp, ResourceLedger(), master_seed=9, round_index=1)
-        run_round(pop_b, reversed_plan, train, hp, ResourceLedger(), master_seed=9, round_index=1)
+        run_round(pop_a, plan, train, hp, ResourceLedger(), capacity=2, master_seed=9, round_index=1)
+        run_round(pop_b, reversed_plan, train, hp, ResourceLedger(), capacity=2, master_seed=9, round_index=1)
         for a, b in zip(pop_a.learners, pop_b.learners):
             assert np.array_equal(a.params, b.params)
 

@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from nkdiff import (
     ConfigurationError,
     check_policy,
-    RankedList,
-    ValidationScores,
     group_btb,
     group_eq,
     group_oo,
@@ -24,12 +22,8 @@ from nkdiff import (
 )
 
 
-def ranked(ids, oracle_id=None):
-    ids = list(ids)
-    return RankedList(
-        order=np.array(ids, dtype=np.int64),
-        oracle_id=ids[-1] if oracle_id is None else oracle_id,
-    )
+def ranked(ids):
+    return np.array(list(ids), dtype=np.int64)
 
 
 def btb_reference(ascending, capacity):
@@ -76,6 +70,14 @@ class TestPolicyConfig:
     def test_unknown_policy(self):
         with pytest.raises(ConfigurationError):
             check_policy("boost", 2, 10)
+
+    def test_oo_needs_only_capacity_within_population(self):
+        check_policy("oo", 3, 10)
+        check_policy("oo", 10, 10)
+        with pytest.raises(ConfigurationError, match="exceeds population 10"):
+            check_policy("oo", 11, 10)
+        with pytest.raises(ConfigurationError):
+            check_policy("oo", 1, 10)
 
 
 class TestOracleOnly:
@@ -146,7 +148,7 @@ class TestPom:
 
 class TestRgbt:
     def test_oracle_always_teaches_its_group(self):
-        scores = ValidationScores(scores=np.linspace(0.1, 1.0, 10), oracle_id=9)
+        scores = np.linspace(0.1, 1.0, 10)
         rng = np.random.default_rng(0)
         for _ in range(50):
             plan = group_rgbt(scores, 5, rng)
@@ -156,7 +158,7 @@ class TestRgbt:
             assert oracle_group_teacher == 9
 
     def test_manual_argmax_per_group(self):
-        scores = ValidationScores(scores=np.array([0.1, 0.2, 0.3, 1.0]), oracle_id=3)
+        scores = np.array([0.1, 0.2, 0.3, 1.0])
         seen = set()
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -166,25 +168,32 @@ class TestRgbt:
             )
             for teacher, learners in plan.groups:
                 members = (teacher, *learners)
-                best = max(members, key=lambda i: (scores.scores[i], -i))
+                best = max(members, key=lambda i: (scores[i], -i))
                 assert teacher == best
             seen.add(partition)
         assert len(seen) == 3  # all partitions of 4 into pairs show up
 
     def test_group_sizes_exact(self):
-        scores = ValidationScores(scores=np.linspace(0.1, 1.0, 10), oracle_id=9)
+        scores = np.linspace(0.1, 1.0, 10)
         plan = group_rgbt(scores, 5, np.random.default_rng(1))
         assert len(plan.groups) == 2
         for _, learners in plan.groups:
             assert len(learners) == 4
 
     def test_divisibility_violation(self):
-        scores = ValidationScores(scores=np.linspace(0.1, 1.0, 10), oracle_id=9)
+        scores = np.linspace(0.1, 1.0, 10)
         with pytest.raises(ConfigurationError):
             group_rgbt(scores, 4, np.random.default_rng(0))
 
+    def test_oracle_wins_a_tie_with_a_perfect_trainee(self):
+        scores = np.ones(4)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            plan = group_rgbt(scores, 2, rng)
+            assert any(t == 3 for t, _ in plan.groups)
+
     def test_teacher_tie_breaks_to_lower_id(self):
-        scores = ValidationScores(scores=np.array([0.5, 0.5, 0.5, 1.0]), oracle_id=3)
+        scores = np.array([0.5, 0.5, 0.5, 1.0])
         rng = np.random.default_rng(9)
         for _ in range(50):
             plan = group_rgbt(scores, 2, rng)
@@ -248,7 +257,7 @@ class TestAgainstBruteForce:
         for capacity in (2, n // 2, n):
             if capacity < 2 or n % capacity:
                 continue
-            rl = ranked(order, oracle_id=order[-1])
+            rl = ranked(order)
             assert group_btb(rl, capacity).groups == btb_reference(order, capacity)
             assert group_eq(rl, capacity).groups == eq_reference(order, capacity)
 
@@ -272,18 +281,17 @@ class TestPlanInvariants:
     def test_group_policies_produce_valid_plans(self, case, seed):
         n, capacity, scores = case
         rng = np.random.default_rng(seed)
-        v = ValidationScores(scores=scores, oracle_id=n - 1)
-        rl = rank_models(v)
+        rl = rank_models(scores)
         plans = [
             group_oo(n, capacity, rng),
-            group_rgbt(v, capacity, rng),
+            group_rgbt(scores, capacity, rng),
             group_btb(rl, capacity),
             group_eq(rl, capacity),
         ]
         if n % 2 == 0:
             plans.append(group_pom(n, rng))
         for plan in plans:
-            validate_plan(plan, n, capacity=None if plan.policy_tag == "oo" else capacity)
+            validate_plan(plan, n, capacity)
             if plan.policy_tag in ("rgbt", "btb", "eq"):
                 for _, learners in plan.groups:
                     assert len(learners) == capacity - 1
@@ -293,11 +301,10 @@ class TestPlanInvariants:
     def test_oracle_teaches_every_round_except_pom(self, case, seed):
         n, capacity, scores = case
         rng = np.random.default_rng(seed)
-        v = ValidationScores(scores=scores, oracle_id=n - 1)
-        rl = rank_models(v)
+        rl = rank_models(scores)
         for plan in (
             group_oo(n, capacity, rng),
-            group_rgbt(v, capacity, rng),
+            group_rgbt(scores, capacity, rng),
             group_btb(rl, capacity),
             group_eq(rl, capacity),
         ):

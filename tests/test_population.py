@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from nkdiff import (
     ModelSpec,
+    Population,
     TrainHyperparams,
-    ValidationScores,
     evaluate_validation,
     gen_blobs,
     init_learner,
@@ -37,7 +37,7 @@ class TestInitPopulation:
         train, _ = blob_task
         pop = make_population(train, n_models=5)
         assert pop.n == 5
-        assert pop.oracle_id == 4
+        assert pop.oracle.id == 4
         assert [l.id for l in pop.trainees] == [0, 1, 2, 3]
         assert pop.oracle.is_oracle
         assert np.array_equal(pop.oracle.held_labels, train.y)
@@ -46,6 +46,18 @@ class TestInitPopulation:
         train, _ = blob_task
         with pytest.raises(ValueError):
             make_population(train, n_models=1)
+
+    def test_oracle_must_be_the_last_learner(self, blob_task):
+        train, _ = blob_task
+        spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
+        learners = [init_learner(spec, 0, is_oracle=True, held_labels=train.y), init_learner(spec, 1)]
+        with pytest.raises(ValueError, match="the last learner"):
+            Population(learners)
+        learners.append(init_learner(spec, 2, is_oracle=True, held_labels=train.y))
+        with pytest.raises(ValueError, match="the last learner"):
+            Population(learners)
+        with pytest.raises(ValueError, match="the last learner"):
+            Population([init_learner(spec, 0), init_learner(spec, 1)])
 
 
 class TestEvaluateValidation:
@@ -56,14 +68,14 @@ class TestEvaluateValidation:
         zeroed(pop.learners[0])
         scores = evaluate_validation(pop, val)
         # every prediction is class 0; the balanced set holds exactly n/K zeros
-        assert scores.scores[0] == 1.0 / 4.0
+        assert scores[0] == 1.0 / 4.0
 
     def test_oracle_scores_top_by_convention(self, blob_task):
         train, val = blob_task
         pop = make_population(train)
         scores = evaluate_validation(pop, val)
-        assert scores.scores[pop.oracle_id] == 1.0
-        assert scores.scores[pop.oracle_id] >= scores.scores.max()
+        assert scores[pop.oracle.id] == 1.0
+        assert scores[pop.oracle.id] >= scores.max()
 
     def test_perfect_classifier_scores_one(self, blob_task):
         train, val = blob_task
@@ -71,7 +83,7 @@ class TestEvaluateValidation:
         learner = pop.learners[0]
         rigged = val.with_labels(predict(learner, val.X))
         scores = evaluate_validation(pop, rigged)
-        assert scores.scores[0] == 1.0
+        assert scores[0] == 1.0
 
     def test_read_only_on_population(self, blob_task):
         train, val = blob_task
@@ -84,16 +96,13 @@ class TestEvaluateValidation:
 
 class TestRankModels:
     def test_manual_example_with_oracle_last(self):
-        v = ValidationScores(scores=np.array([0.3, 0.1, 0.2]), oracle_id=2)
-        assert rank_models(v).order.tolist() == [1, 0, 2]
+        assert rank_models(np.array([0.3, 0.1, 0.2])).tolist() == [1, 0, 2]
 
     def test_tie_breaks_toward_lower_id(self):
-        v = ValidationScores(scores=np.array([0.5, 0.5, 1.0]), oracle_id=2)
-        assert rank_models(v).order.tolist() == [0, 1, 2]
+        assert rank_models(np.array([0.5, 0.5, 1.0])).tolist() == [0, 1, 2]
 
     def test_trainee_at_one_still_ranks_below_oracle(self):
-        v = ValidationScores(scores=np.array([1.0, 0.4, 1.0]), oracle_id=2)
-        assert rank_models(v).order.tolist() == [1, 0, 2]
+        assert rank_models(np.array([1.0, 0.4, 1.0])).tolist() == [1, 0, 2]
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12)
@@ -101,10 +110,11 @@ class TestRankModels:
     def test_order_is_ascending_permutation(self, trainee_scores):
         scores = np.array(trainee_scores + [1.0])
         oracle_id = len(scores) - 1
-        ranked = rank_models(ValidationScores(scores=scores, oracle_id=oracle_id))
-        assert sorted(ranked.order.tolist()) == list(range(len(scores)))
-        assert ranked.order[-1] == oracle_id
-        trainee_part = ranked.order[:-1]
+        ranked = rank_models(scores)
+        assert ranked.dtype == np.int64
+        assert sorted(ranked.tolist()) == list(range(len(scores)))
+        assert ranked[-1] == oracle_id
+        trainee_part = ranked[:-1]
         assert all(
             scores[a] <= scores[b] for a, b in zip(trainee_part, trainee_part[1:])
         )

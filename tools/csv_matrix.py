@@ -5,8 +5,8 @@ Usage, from the root of a source checkout::
     python3 tools/csv_matrix.py OUT > digests.txt
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
-checkout it sits in, runs 27 ``nkdiff run`` commands and one ``nkdiff sweep``
-into OUT and prints one ``sha256  path`` line per CSV written (100 in all),
+checkout it sits in, runs 28 ``nkdiff run`` commands and one ``nkdiff sweep``
+into OUT and prints one ``sha256  path`` line per CSV written (103 in all),
 with paths relative to OUT, sorted. To check that a change leaves every
 output float as it was, run it on two checkouts and ``diff`` the two
 listings. The grid:
@@ -21,6 +21,8 @@ listings. The grid:
   at C=5 with warm-up) or in halves (K=130: ``rgbt`` at C=2);
 - a 5-round, 2-seed ``btb`` run at C=2 with a population of 20, so each
   ensemble vote sums 19 members;
+- a 5-round, 2-seed ``oo`` run at C=3, a capacity that does not divide the
+  population of 10;
 - a sweep of ``btb`` and ``oo`` x label noise 0 and 0.3 (3 rounds, 2 seeds,
   default task): its ``summary.csv`` and each cell's three CSVs.
 """
@@ -78,6 +80,7 @@ def grid() -> list[tuple[str, dict]]:
         ("k130_rgbt", {**many, "blobs": k130, "policy": "rgbt", "c": 2,
                        "learning_rate": 0.05, "batch_size": 16}),
         ("n20_btb", {"n": 20, "rounds": 5, "seeds": 2, "policy": "btb", "c": 2}),
+        ("oo_c3", {"rounds": 5, "seeds": 2, "policy": "oo", "c": 3}),
     ]
     return runs
 
