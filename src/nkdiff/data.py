@@ -97,7 +97,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """How to damage a label vector: replace a fraction, or redraw all."""
+    """How to damage a label vector: replace a fraction, or redraw all (fraction 1.0)."""
 
     fraction: float
     mode: str = "uniform_replace"
@@ -108,6 +108,8 @@ class CorruptionSpec:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
         if self.mode not in CORRUPTION_MODES:
             raise ValueError(f"mode must be one of {CORRUPTION_MODES}, got {self.mode!r}")
+        if self.mode == "full_random" and self.fraction != 1.0:
+            raise ValueError(f"mode 'full_random' redraws every label; fraction must be 1.0, got {self.fraction}")
 
 
 def gen_blobs(

@@ -118,16 +118,18 @@ def run_session(
     X: np.ndarray,
     hp: TrainHyperparams,
     labels: np.ndarray,
+    rng: np.random.Generator,
 ) -> float | None:
     """One teaching session: the learner trains for an epoch on the
-    teacher's ``labels`` and its mean loss is returned. Returns None (a no-op)
-    when the learner is the oracle. The teacher's parameters are never touched.
+    teacher's ``labels``, shuffled by ``rng``, and its mean loss is returned.
+    Returns None (a no-op) when the learner is the oracle. The teacher's
+    parameters are never touched.
     """
     if learner.is_oracle:
         return None
     if teacher.id == learner.id:
         raise ValueError(f"model {learner.id} cannot be its own teacher")
-    return train_epoch(learner, X, labels, hp)
+    return train_epoch(learner, X, labels, hp, rng)
 
 
 def run_round(
@@ -144,9 +146,9 @@ def run_round(
 
     Teacher labels are computed once per teacher from pre-round
     parameters, before any session runs, so teachers are frozen within
-    the round. Each session's shuffle stream is re-keyed to (master_seed,
-    round_index, learner id). Sessions touch disjoint learners and run one
-    after another in plan order.
+    the round. Each session shuffles from its own stream, keyed by
+    (master_seed, round_index, learner id). Sessions touch disjoint learners
+    and run one after another in plan order.
     """
     validate_plan(plan, pop.n, capacity)
 
@@ -165,8 +167,8 @@ def run_round(
             label_cache[teacher.id] = pseudolabels(teacher, train.X)
 
     for teacher, learner in sessions:
-        learner.rng = session_stream(master_seed, round_index, learner.id)
-        run_session(teacher, learner, train.X, hp, label_cache[teacher.id])
+        rng = session_stream(master_seed, round_index, learner.id)
+        run_session(teacher, learner, train.X, hp, label_cache[teacher.id], rng)
 
     ledger.oracle_sessions += sum(1 for teacher, _ in sessions if teacher.is_oracle)
     ledger.forward_ops += len(train) * len(sessions)

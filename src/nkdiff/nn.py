@@ -19,9 +19,9 @@ from .data import check_labels
 # ensemble voting defined when a softmax underflows to 0.
 PROB_FLOOR = 1e-12
 
-# Sub-stream tags so parameter draws and shuffle draws never collide.
+# Sub-stream tag of parameter draws; population.py and engine.py key the
+# shuffle streams with other tags, so no two streams collide.
 _PARAMS_STREAM = 0
-_TRAIN_STREAM = 1
 
 
 class OracleUpdateError(RuntimeError):
@@ -95,19 +95,21 @@ class TrainHyperparams:
 class Learner:
     """One classifier in the population.
 
-    The oracle variant never trains; it answers label queries from
-    ``held_labels`` (the label vector it owns for the training inputs)
-    instead of running its network.
+    The oracle is the learner holding labels: it never trains, and answers
+    label queries from ``held_labels`` (the label vector it owns for the
+    training inputs) instead of running its network.
     """
 
     id: int
     spec: ModelSpec
     params: np.ndarray
-    rng: np.random.Generator
-    is_oracle: bool = False
     held_labels: np.ndarray | None = field(default=None, repr=False)
     # forward_stack outputs for one (spec, params) state; see forward_stack.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def is_oracle(self) -> bool:
+        return self.held_labels is not None
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -131,18 +133,14 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     ]
 
 
-def init_learner(
-    spec: ModelSpec,
-    id: int,
-    is_oracle: bool = False,
-    held_labels: np.ndarray | None = None,
-) -> Learner:
+def init_learner(spec: ModelSpec, id: int, held_labels: np.ndarray | None = None) -> Learner:
     """Create a learner with scaled-uniform initial parameters.
 
     Each layer's entries are drawn from U[-s, s] with
     s = sqrt(6 / (fan_in + fan_out)), from a stream keyed by
     (spec.seed, learner id), so re-initialization is reproducible and
-    distinct ids get distinct draws.
+    distinct ids get distinct draws. Given ``held_labels`` (checked and
+    copied), the learner is an oracle.
     """
     init_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _PARAMS_STREAM, id)))
     params = np.empty(param_count(spec), dtype=np.float64)
@@ -151,18 +149,9 @@ def init_learner(
         scale = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         w[...] = init_rng.uniform(-scale, scale, size=w.shape)
         b[...] = init_rng.uniform(-scale, scale, size=b.shape)
-    train_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _TRAIN_STREAM, id)))
-    labels = None
     if held_labels is not None:
-        labels = check_labels(held_labels, spec.n_classes).copy()
-    return Learner(
-        id=id,
-        spec=spec,
-        params=params,
-        rng=train_rng,
-        is_oracle=is_oracle,
-        held_labels=labels,
-    )
+        held_labels = check_labels(held_labels, spec.n_classes).copy()
+    return Learner(id=id, spec=spec, params=params, held_labels=held_labels)
 
 
 def _activations(
@@ -328,8 +317,6 @@ def pseudolabels(teacher: Learner, X: np.ndarray) -> np.ndarray:
     if len(X) == 0:
         raise ValueError("pseudolabels need at least one input row")
     if teacher.is_oracle:
-        if teacher.held_labels is None:
-            raise ValueError("oracle has no label store attached")
         return check_labels(teacher.held_labels, teacher.spec.n_classes, len(X)).copy()
     return predict(teacher, X)
 
@@ -404,14 +391,14 @@ def loss_and_gradient(
 
 
 def train_epoch(
-    learner: Learner, X: np.ndarray, labels: np.ndarray, hp: TrainHyperparams
+    learner: Learner, X: np.ndarray, labels: np.ndarray, hp: TrainHyperparams, rng: np.random.Generator
 ) -> float:
     """One SGD epoch over (X, labels); mutates the learner's parameters.
 
-    Returns the mean loss over the epoch's examples. Batch order comes from
-    the learner's own rng stream when shuffling, so sessions on distinct
-    learners are order-independent. Raises NonFiniteError if the epoch
-    leaves any parameter NaN or infinite (the learning rate diverged).
+    Returns the mean loss over the epoch's examples. When shuffling, batch
+    order is one ``rng.permutation(n)`` draw; unshuffled, ``rng`` is not
+    read. Raises NonFiniteError if the epoch leaves any parameter NaN or
+    infinite (the learning rate diverged).
     """
     if learner.is_oracle:
         raise OracleUpdateError("the oracle never updates its parameters")
@@ -423,7 +410,7 @@ def train_epoch(
     if hp.batch_size > n:
         raise ValueError(f"batch_size {hp.batch_size} exceeds training-set size {n}")
 
-    order = learner.rng.permutation(n) if hp.shuffle else np.arange(n)
+    order = rng.permutation(n) if hp.shuffle else np.arange(n)
     # Rows of X are gathered per batch: a shuffled copy of all of X per
     # epoch would cost a full-size buffer on wide inputs.
     labels = labels[order]

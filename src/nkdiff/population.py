@@ -17,6 +17,9 @@ from .nn import Learner, ModelSpec, TrainHyperparams, init_learner, pseudolabels
 
 ORACLE_SCORE = 1.0
 
+# Sub-stream tag of the warm-up shuffle streams, keyed (spec.seed, tag, id).
+_WARMUP_STREAM = 1
+
 
 @dataclass
 class Population:
@@ -49,9 +52,7 @@ def init_population(spec: ModelSpec, n_models: int, oracle_labels: np.ndarray) -
     if n_models < 2:
         raise ValueError("population needs at least one trainee and the oracle")
     learners = [init_learner(spec, i) for i in range(n_models - 1)]
-    learners.append(
-        init_learner(spec, n_models - 1, is_oracle=True, held_labels=oracle_labels)
-    )
+    learners.append(init_learner(spec, n_models - 1, held_labels=oracle_labels))
     return Population(learners)
 
 
@@ -76,14 +77,15 @@ def pretrain_population(pop: Population, train: Dataset, hp: TrainHyperparams) -
 
     The weakest trainee gets 1 epoch, the strongest N-1, giving the
     population a spread of prior exposure. Every epoch is an oracle
-    session; their count is returned. Each learner draws shuffles from its
-    own stream, so the outcome is independent of the order trainees are
-    processed in.
+    session; their count is returned. Each trainee draws its shuffles from
+    one stream keyed by (spec.seed, warm-up tag, id), so the outcome is
+    independent of the order trainees are processed in.
     """
     labels = pseudolabels(pop.oracle, train.X)
     sessions = 0
     for learner in pop.trainees:
+        rng = np.random.default_rng(np.random.SeedSequence((learner.spec.seed, _WARMUP_STREAM, learner.id)))
         for _ in range(learner.id + 1):
-            train_epoch(learner, train.X, labels, hp)
+            train_epoch(learner, train.X, labels, hp, rng)
             sessions += 1
     return sessions

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nkdiff import Dataset, ModelSpec, TrainHyperparams, gen_blobs, init_learner
+from nkdiff.population import _WARMUP_STREAM
 
 
 @pytest.fixture
@@ -27,6 +28,11 @@ def balanced_dataset(K: int, per_class: int, d: int, seed: int = 0) -> Dataset:
     y = np.tile(np.arange(K), per_class)
     X = rng.normal(size=(len(y), d))
     return Dataset(X=X, y=y, K=K)
+
+
+def warmup_stream(spec: ModelSpec, id: int) -> np.random.Generator:
+    """A fresh shuffle stream keyed (spec.seed, warm-up tag, id), as warm-up keys trainee id's."""
+    return np.random.default_rng(np.random.SeedSequence((spec.seed, _WARMUP_STREAM, id)))
 
 
 def zeroed(learner):

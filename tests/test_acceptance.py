@@ -46,6 +46,7 @@ from nkdiff import (
 from nkdiff.cli import main as cli_main
 from nkdiff.data import BlobsSpec
 
+from conftest import warmup_stream
 from test_policies import btb_reference, eq_reference
 
 # Reference task: one fixed pool of 1002 shuffled points sliced into
@@ -287,10 +288,10 @@ def test_criterion_08_pom_memorization_resistance(ref_data):
     single_best = []
     for s in range(seeds):
         spec = ModelSpec(layer_widths=(10, 16, 3), seed=SEED_BASE + s)
-        learner = init_learner(spec, 0)
+        learner, rng = init_learner(spec, 0), warmup_stream(spec, 0)
         best = 0.0
         for _ in range(100):
-            train_epoch(learner, randomized.X, randomized.y, MEMORIZATION_HP)
+            train_epoch(learner, randomized.X, randomized.y, MEMORIZATION_HP, rng)
             best = max(best, accuracy(learner, randomized))
         single_best.append(best)
     single = float(np.mean(single_best))
@@ -337,12 +338,12 @@ def test_criterion_09_noise_robustness(ref_data):
 def test_criterion_10_disagreement_curves(ref_data):
     train, val, test = ref_data
     spec = ModelSpec(layer_widths=(10, 16, 3), seed=123)
-    a = init_learner(spec, 0)
-    b = init_learner(spec, 1)
+    a, a_rng = init_learner(spec, 0), warmup_stream(spec, 0)
+    b, b_rng = init_learner(spec, 1), warmup_stream(spec, 1)
     rounds = 30
     for _ in range(rounds):
-        train_epoch(a, train.X, train.y, DIFFUSION_HP)
-        train_epoch(b, train.X, train.y, DIFFUSION_HP)
+        train_epoch(a, train.X, train.y, DIFFUSION_HP, a_rng)
+        train_epoch(b, train.X, train.y, DIFFUSION_HP, b_rng)
         both, at_least_one = disagreement_stats(a, b, test)
         correct_a = int(np.sum(predict(a, test.X) == test.y))
         correct_b = int(np.sum(predict(b, test.X) == test.y))

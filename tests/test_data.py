@@ -24,6 +24,8 @@ from nkdiff import (
     write_idx,
 )
 
+from conftest import warmup_stream
+
 
 class TestDataset:
     def test_row_label_mismatch(self):
@@ -47,7 +49,7 @@ def _write_idx_labels(tmp_path, y):
 
 def _train_epoch(tmp_path, y):
     learner = init_learner(LABEL_SPEC, 0)
-    loss = train_epoch(learner, LABEL_X, y, TrainHyperparams(0.1, 2))
+    loss = train_epoch(learner, LABEL_X, y, TrainHyperparams(0.1, 2), warmup_stream(LABEL_SPEC, 0))
     return loss, learner.params
 
 
@@ -59,7 +61,7 @@ LABEL_ENTRY_POINTS = {
     "write_idx": _write_idx_labels,
     "train_epoch": _train_epoch,
     "loss_and_gradient": lambda tmp_path, y: loss_and_gradient(LABEL_SPEC, init_learner(LABEL_SPEC, 0).params, LABEL_X, y),
-    "oracle": lambda tmp_path, y: pseudolabels(init_learner(LABEL_SPEC, 9, is_oracle=True, held_labels=y), LABEL_X),
+    "oracle": lambda tmp_path, y: pseudolabels(init_learner(LABEL_SPEC, 9, held_labels=y), LABEL_X),
 }
 GOOD_LABELS = np.array([0, 2, 1, 2], dtype=np.int64)
 # 10 lies outside [0, K) for both K=3 and K=10.
@@ -217,6 +219,12 @@ class TestCorruptLabels:
             CorruptionSpec(fraction=1.5)
         with pytest.raises(ValueError):
             CorruptionSpec(fraction=-0.1)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.999])
+    def test_full_random_needs_fraction_one(self, fraction):
+        # full_random ignores fraction and redraws every label; anything but 1.0 is a misuse.
+        with pytest.raises(ValueError, match=r"'full_random'.*fraction must be 1\.0"):
+            CorruptionSpec(fraction=fraction, mode="full_random")
 
     def test_invalid_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,8 @@ from nkdiff import (
     train_epoch,
 )
 
+from conftest import warmup_stream
+
 SMALL_BLOBS = BlobsSpec(n_per_class=60, k=3, d=4, centers_scale=2.0, noise_sigma=0.8, seed=3)
 
 
@@ -50,8 +52,8 @@ class TestRunSession:
         learner = pop.learners[0]
         twin = copy.deepcopy(learner)
         hp = TrainHyperparams(0.1, 16)
-        run_session(pop.oracle, learner, train.X, hp, pseudolabels(pop.oracle, train.X))
-        train_epoch(twin, train.X, train.y, hp)
+        run_session(pop.oracle, learner, train.X, hp, pseudolabels(pop.oracle, train.X), warmup_stream(learner.spec, 0))
+        train_epoch(twin, train.X, train.y, hp, warmup_stream(learner.spec, 0))
         assert np.array_equal(learner.params, twin.params)
 
     def test_teacher_params_frozen(self, task):
@@ -59,14 +61,16 @@ class TestRunSession:
         pop = make_population(train, n_models=4)
         teacher, learner = pop.learners[1], pop.learners[0]
         snapshot = teacher.params.copy()
-        run_session(teacher, learner, train.X, TrainHyperparams(0.1, 16), pseudolabels(teacher, train.X))
+        rng = warmup_stream(learner.spec, 0)
+        run_session(teacher, learner, train.X, TrainHyperparams(0.1, 16), pseudolabels(teacher, train.X), rng)
         assert np.array_equal(teacher.params, snapshot)
 
     def test_oracle_learner_is_noop(self, task):
         train, _, _ = task
         pop = make_population(train, n_models=4)
         snapshot = pop.oracle.params.copy()
-        stats = run_session(pop.learners[0], pop.oracle, train.X, TrainHyperparams(0.1, 16), train.y)
+        rng = warmup_stream(pop.oracle.spec, pop.oracle.id)
+        stats = run_session(pop.learners[0], pop.oracle, train.X, TrainHyperparams(0.1, 16), train.y, rng)
         assert stats is None
         assert np.array_equal(pop.oracle.params, snapshot)
 
@@ -74,7 +78,8 @@ class TestRunSession:
         train, _, _ = task
         pop = make_population(train, n_models=4)
         with pytest.raises(ValueError):
-            run_session(pop.learners[0], pop.learners[0], train.X, TrainHyperparams(0.1, 16), train.y)
+            rng = warmup_stream(pop.learners[0].spec, 0)
+            run_session(pop.learners[0], pop.learners[0], train.X, TrainHyperparams(0.1, 16), train.y, rng)
 
 
 class TestRunRoundAccounting:
@@ -111,6 +116,21 @@ class TestRunRoundAccounting:
         run_round(pop, plan, train, TrainHyperparams(0.1, 16), ledger, capacity=2, master_seed=0, round_index=1)
         assert ledger.oracle_sessions == 1
         assert ledger.forward_ops == 9 * len(train)
+
+    def test_round_rebinds_no_learner_attribute_but_params_and_memo(self, task):
+        # A learner is its parameters: sessions get their shuffle streams passed in.
+        train, _, _ = task
+        pop = make_population(train)
+        from nkdiff import group_oo
+
+        before = [dict(vars(learner)) for learner in pop.learners]
+        plan = group_oo(10, 10, np.random.default_rng(0))
+        run_round(pop, plan, train, TrainHyperparams(0.1, 16), ResourceLedger(), capacity=10, master_seed=0, round_index=1)
+        for learner, attributes in zip(pop.learners, before):
+            assert vars(learner).keys() == attributes.keys()
+            for name, value in attributes.items():
+                if name not in ("params", "_memo"):
+                    assert vars(learner)[name] is value, name
 
     def test_capacity_enforced_at_execution(self, task):
         train, _, _ = task
@@ -269,8 +289,7 @@ class TestRunExperiment:
         for i in range(9):
             learner = init_learner(spec, i)
             for t in range(1, 5):
-                learner.rng = session_stream(8, t, i)
-                train_epoch(learner, train.X, train.y, hp)
+                train_epoch(learner, train.X, train.y, hp, session_stream(8, t, i))
             final_params.append(learner.params)
 
         assert records[-1].oracle_sessions == 4 * 9
@@ -298,9 +317,9 @@ class TestRunExperiment:
         train, val, test = task
         cfg = ExperimentConfig(policy="eq", rounds=3, pretrain=True, dataset=SMALL_BLOBS, master_seed=5)
         spec = ModelSpec(layer_widths=(train.n_features, 16, train.K), seed=5)
-        expected_oracle = init_learner(spec, 9, is_oracle=True, held_labels=train.y)
+        expected_oracle = init_learner(spec, 9, held_labels=train.y)
         run_experiment(cfg, data=task, threads=1)
-        fresh_oracle = init_learner(spec, 9, is_oracle=True, held_labels=train.y)
+        fresh_oracle = init_learner(spec, 9, held_labels=train.y)
         assert np.array_equal(expected_oracle.params, fresh_oracle.params)
 
     @pytest.mark.parametrize("pretrain, phase", [(False, "round 1"), (True, "warm-up")])

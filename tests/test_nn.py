@@ -25,6 +25,8 @@ from nkdiff import (
     unpack_params,
 )
 
+from conftest import warmup_stream
+
 
 class TestModelSpec:
     def test_rejects_single_layer(self):
@@ -185,7 +187,7 @@ class TestForwardMemo:
     def test_training_invalidates(self, small_spec, small_blobs, hp):
         learner = init_learner(small_spec, 0)
         before = forward_batch(learner, small_blobs.X)
-        train_epoch(learner, small_blobs.X, small_blobs.y, hp)
+        train_epoch(learner, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0))
         fresh = init_learner(small_spec, 1)
         fresh.params[:] = learner.params
         after = forward_batch(learner, small_blobs.X)
@@ -236,14 +238,14 @@ class TestForwardMemo:
 
 class TestPseudolabels:
     def test_oracle_returns_held_labels(self, small_spec, small_blobs):
-        oracle = init_learner(small_spec, 9, is_oracle=True, held_labels=small_blobs.y)
+        oracle = init_learner(small_spec, 9, held_labels=small_blobs.y)
         got = pseudolabels(oracle, small_blobs.X)
         assert np.array_equal(got, small_blobs.y)
         got[0] = (got[0] + 1) % 3  # caller owns the copy
         assert np.array_equal(oracle.held_labels, small_blobs.y)
 
     def test_oracle_row_count_mismatch(self, small_spec, small_blobs):
-        oracle = init_learner(small_spec, 9, is_oracle=True, held_labels=small_blobs.y[:10])
+        oracle = init_learner(small_spec, 9, held_labels=small_blobs.y[:10])
         with pytest.raises(ValueError):
             pseudolabels(oracle, small_blobs.X)
 
@@ -266,7 +268,7 @@ class TestTrainEpoch:
         learner = init_learner(small_spec, 0)
         before = learner.params.copy()
         loss = train_epoch(
-            learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.0, 16)
+            learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.0, 16), warmup_stream(small_spec, 0)
         )
         assert np.array_equal(learner.params, before)
         assert isinstance(loss, float) and math.isfinite(loss)
@@ -276,26 +278,30 @@ class TestTrainEpoch:
         spec = ModelSpec(layer_widths=(2, 8, 2), seed=0)
         learner = init_learner(spec, 0)
         hp = TrainHyperparams(0.1, 16)
-        first = train_epoch(learner, ds.X, ds.y, hp)
-        second = train_epoch(learner, ds.X, ds.y, hp)
+        rng = warmup_stream(spec, 0)
+        first = train_epoch(learner, ds.X, ds.y, hp, rng)
+        second = train_epoch(learner, ds.X, ds.y, hp, rng)
         assert second < first
 
     def test_deterministic_given_state(self, small_spec, small_blobs, hp):
         learner = init_learner(small_spec, 0)
-        twin = copy.deepcopy(learner)
-        train_epoch(learner, small_blobs.X, small_blobs.y, hp)
-        train_epoch(twin, small_blobs.X, small_blobs.y, hp)
+        twin, other = copy.deepcopy(learner), copy.deepcopy(learner)
+        loss = train_epoch(learner, small_blobs.X, small_blobs.y, hp, np.random.default_rng(5))
+        assert train_epoch(twin, small_blobs.X, small_blobs.y, hp, np.random.default_rng(5)) == loss
         assert np.array_equal(learner.params, twin.params)
+        # The shuffle comes from the stream passed in, not from the learner.
+        train_epoch(other, small_blobs.X, small_blobs.y, hp, np.random.default_rng(6))
+        assert not np.array_equal(learner.params, other.params)
 
     def test_oracle_refuses_training(self, small_spec, small_blobs, hp):
-        oracle = init_learner(small_spec, 9, is_oracle=True, held_labels=small_blobs.y)
+        oracle = init_learner(small_spec, 9, held_labels=small_blobs.y)
         with pytest.raises(OracleUpdateError):
-            train_epoch(oracle, small_blobs.X, small_blobs.y, hp)
+            train_epoch(oracle, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 9))
 
     def test_batch_size_cannot_exceed_n(self, small_spec, small_blobs):
         learner = init_learner(small_spec, 0)
         with pytest.raises(ValueError):
-            train_epoch(learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.1, 1000))
+            train_epoch(learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.1, 1000), warmup_stream(small_spec, 0))
 
     @pytest.mark.parametrize(
         "relabel", [lambda y: -1 - y, lambda y: y + 3], ids=["negative", "at_least_K"]
@@ -305,7 +311,7 @@ class TestTrainEpoch:
         before = learner.params.copy()
         labels = relabel(small_blobs.y)
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            train_epoch(learner, small_blobs.X, labels, hp)
+            train_epoch(learner, small_blobs.X, labels, hp, warmup_stream(small_spec, 0))
         assert np.array_equal(learner.params, before)
 
     def test_divergence_raises_naming_learner_and_rate(self, small_spec, small_blobs):
@@ -314,13 +320,15 @@ class TestTrainEpoch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=r"learner 6 .* 1e\+100"):
-                train_epoch(learner, small_blobs.X, small_blobs.y, TrainHyperparams(1e100, 16))
+                train_epoch(
+                    learner, small_blobs.X, small_blobs.y, TrainHyperparams(1e100, 16), warmup_stream(small_spec, 6)
+                )
 
     def test_only_target_learner_mutates(self, small_spec, small_blobs, hp):
         a = init_learner(small_spec, 0)
         b = init_learner(small_spec, 1)
         b_before = b.params.copy()
-        train_epoch(a, small_blobs.X, small_blobs.y, hp)
+        train_epoch(a, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0))
         assert np.array_equal(b.params, b_before)
 
 

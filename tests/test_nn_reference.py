@@ -29,6 +29,8 @@ from nkdiff import (
     unpack_params,
 )
 
+from conftest import warmup_stream
+
 
 def ref_unpack_params(spec, params):
     views = []
@@ -97,11 +99,11 @@ def ref_loss_and_gradient(spec, params, X, labels):
     return loss, grad
 
 
-def ref_train_epoch(learner, X, labels, hp):
+def ref_train_epoch(learner, X, labels, hp, rng):
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = len(X)
-    order = learner.rng.permutation(n) if hp.shuffle else np.arange(n)
+    order = rng.permutation(n) if hp.shuffle else np.arange(n)
     total = 0.0
     for start in range(0, n, hp.batch_size):
         idx = order[start : start + hp.batch_size]
@@ -138,8 +140,9 @@ def test_three_epochs_match_reference_bit_for_bit(widths, shuffle):
     hp = TrainHyperparams(learning_rate=0.05, batch_size=32, shuffle=shuffle)
     learner = init_learner(ModelSpec(layer_widths=widths, seed=3), 1)
     twin = copy.deepcopy(learner)
+    rng, twin_rng = warmup_stream(learner.spec, 1), warmup_stream(learner.spec, 1)
     for _ in range(3):
-        assert train_epoch(learner, ds.X, ds.y, hp) == ref_train_epoch(twin, ds.X, ds.y, hp)
+        assert train_epoch(learner, ds.X, ds.y, hp, rng) == ref_train_epoch(twin, ds.X, ds.y, hp, twin_rng)
     assert np.array_equal(learner.params, twin.params)
     assert not np.array_equal(learner.params, init_learner(learner.spec, 1).params)
 
@@ -159,7 +162,7 @@ def test_loss_and_gradient_match_reference_bit_for_bit(widths):
 def test_forward_batch_matches_reference_bit_for_bit(widths):
     ds = blobs_for(widths, seed=13)
     learner = init_learner(ModelSpec(layer_widths=widths, seed=7), 4)
-    train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.05, 32))
+    train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.05, 32), warmup_stream(learner.spec, 4))
     X = np.vstack([ds.X, np.full((1, widths[0]), 1e8), np.full((1, widths[0]), -1e8)])
     assert np.array_equal(forward_batch(learner, X), ref_forward_batch(learner, X))
     # A read-only X is memoized: the first call and the memo hit both match.

@@ -50,14 +50,24 @@ class TestInitPopulation:
     def test_oracle_must_be_the_last_learner(self, blob_task):
         train, _ = blob_task
         spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
-        learners = [init_learner(spec, 0, is_oracle=True, held_labels=train.y), init_learner(spec, 1)]
+        learners = [init_learner(spec, 0, held_labels=train.y), init_learner(spec, 1)]
         with pytest.raises(ValueError, match="the last learner"):
             Population(learners)
-        learners.append(init_learner(spec, 2, is_oracle=True, held_labels=train.y))
+        learners.append(init_learner(spec, 2, held_labels=train.y))
         with pytest.raises(ValueError, match="the last learner"):
             Population(learners)
         with pytest.raises(ValueError, match="the last learner"):
             Population([init_learner(spec, 0), init_learner(spec, 1)])
+
+    def test_the_learner_holding_labels_is_the_oracle(self, blob_task):
+        train, _ = blob_task
+        spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
+        oracle = init_learner(spec, 9, held_labels=train.y)
+        pop = Population([init_learner(spec, i) for i in range(9)] + [oracle])
+        assert pop.oracle is oracle and oracle.is_oracle
+        assert not any(learner.is_oracle for learner in pop.trainees)
+        with pytest.raises(AttributeError):
+            oracle.is_oracle = False
 
 
 class TestEvaluateValidation:

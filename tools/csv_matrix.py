@@ -5,8 +5,8 @@ Usage, from the root of a source checkout::
     python3 tools/csv_matrix.py OUT > digests.txt
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
-checkout it sits in, runs 28 ``nkdiff run`` commands and one ``nkdiff sweep``
-into OUT and prints one ``sha256  path`` line per CSV written (103 in all),
+checkout it sits in, runs 30 ``nkdiff run`` commands and one ``nkdiff sweep``
+into OUT and prints one ``sha256  path`` line per CSV written (109 in all),
 with paths relative to OUT, sorted. To check that a change leaves every
 output float as it was, run it on two checkouts and ``diff`` the two
 listings. The grid:
@@ -23,6 +23,8 @@ listings. The grid:
   ensemble vote sums 19 members;
 - a 5-round, 2-seed ``oo`` run at C=3, a capacity that does not divide the
   population of 10;
+- 5-round, 2-seed ``btb`` runs at C=2 with ``"shuffle": false``, warm-up off
+  and on, so batches follow row order and no shuffle stream is read;
 - a sweep of ``btb`` and ``oo`` x label noise 0 and 0.3 (3 rounds, 2 seeds,
   default task): its ``summary.csv`` and each cell's three CSVs.
 """
@@ -82,6 +84,10 @@ def grid() -> list[tuple[str, dict]]:
         ("n20_btb", {"n": 20, "rounds": 5, "seeds": 2, "policy": "btb", "c": 2}),
         ("oo_c3", {"rounds": 5, "seeds": 2, "policy": "oo", "c": 3}),
     ]
+    for pretrain in (False, True):
+        runs.append((f"noshuffle_btb_pre{'on' if pretrain else 'off'}",
+                     {"rounds": 5, "seeds": 2, "policy": "btb", "c": 2,
+                      "shuffle": False, "pretrain": pretrain}))
     return runs
 
 
