@@ -2,7 +2,8 @@
 
 Configs are flat JSON documents (see README for the schema). A run writes
 one ``run_<seed>.csv`` per seed plus ``agg.csv`` and ``manifest.json``; a
-sweep writes one such directory per grid cell plus ``summary.csv``.
+sweep writes one such directory per grid cell plus ``summary.csv``, whose
+final and best columns are read from the seed aggregate behind ``agg.csv``.
 One CSV writer prints every float with 6 fixed decimals, so byte-identity
 of outputs is meaningful, and files are written atomically.
 """
@@ -20,11 +21,9 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from .data import BlobsSpec, CorruptionSpec, Dataset, IdxFormatError, IdxSpec, build_datasets
 from .engine import ExperimentConfig, prepare_data, run_experiment
-from .metrics import AGG_FIELDS, MetricsRecord, aggregate_seeds
+from .metrics import AGG_FIELDS, AggregateSeries, MetricsRecord, aggregate_seeds
 from .nn import NonFiniteError, TrainHyperparams
 from .policies import POLICIES, ConfigurationError
 
@@ -35,6 +34,9 @@ EXIT_NUMERIC = 4
 
 RUN_CSV_COLUMNS = ("round", *AGG_FIELDS)
 RUN_CSV_HEADER = ",".join(RUN_CSV_COLUMNS)
+# One row per sweep cell: its axes, then test means from the cell's seed aggregate.
+SUMMARY_CSV_COLUMNS = ("cell", "policy", "c", "pretrain", "noise", "final_round", "final_alacc_test",
+                       "final_ensacc_test", "best_alacc_test", "best_ensacc_test")
 
 # Every config key with its JSON type and its default. float is any JSON
 # number a float holds, [int] a list of integers, and a dataclass a nested
@@ -236,16 +238,10 @@ def format_run_csv(records: list[MetricsRecord]) -> str:
     return _csv(RUN_CSV_COLUMNS, [[getattr(rec, name) for name in RUN_CSV_COLUMNS] for rec in records])
 
 
-def format_agg_csv(runs: list[list[MetricsRecord]]) -> str:
+def format_agg_csv(agg: AggregateSeries) -> str:
     header = ["round", *(f"{name}_{stat}" for name in AGG_FIELDS for stat in ("mean", "ci95"))]
-    if len(runs) >= 2:
-        agg = aggregate_seeds(runs)
-        rounds, means, cis = agg.rounds, agg.mean, agg.ci95
-    else:  # one run: its own values, with zero-width intervals
-        rounds = [rec.round for rec in runs[0]]
-        means = {name: [float(getattr(rec, name)) for rec in runs[0]] for name in AGG_FIELDS}
-        cis = {name: [0.0] * len(rounds) for name in AGG_FIELDS}
-    rows = [[int(rnd), *(stat[name][i] for name in AGG_FIELDS for stat in (means, cis))] for i, rnd in enumerate(rounds)]
+    stats = (agg.mean, agg.ci95)
+    rows = [[int(rnd), *(stat[name][i] for name in AGG_FIELDS for stat in stats)] for i, rnd in enumerate(agg.rounds)]
     return _csv(header, rows)
 
 
@@ -254,8 +250,9 @@ def execute_run(
     out_dir: Path,
     experiments: list[ExperimentConfig],
     datasets: tuple[Dataset, Dataset, Dataset] | None = None,
-) -> list[list[MetricsRecord]]:
-    """Run the per-seed experiments of a checked config and write its output directory.
+) -> AggregateSeries:
+    """Run the per-seed experiments of a checked config, write its output directory
+    and return the seed aggregate that ``agg.csv`` holds.
 
     ``datasets`` may give the config's (train, val, test) already built and
     not yet corrupted. The data is ready and checked before out_dir exists.
@@ -267,7 +264,8 @@ def execute_run(
         records = run_experiment(cfg, data=data)
         _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
         runs.append(records)
-    _write_atomic(out_dir / "agg.csv", format_agg_csv(runs))
+    agg = aggregate_seeds(runs)
+    _write_atomic(out_dir / "agg.csv", format_agg_csv(agg))
     manifest = {
         "config": {k: v for k, v in config.items() if k != "out"},
         "config_hash": config_hash(config),
@@ -275,7 +273,7 @@ def execute_run(
         "out_dir": str(out_dir),
     }
     _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return runs
+    return agg
 
 
 def cmd_run(config: dict) -> int:
@@ -316,28 +314,14 @@ def cmd_sweep(config: dict) -> int:
     # written; each cell applies its own label corruption to it.
     datasets = build_datasets(planned[0][2][0].dataset)
     out_dir = Path(config.get("out") or "out")
-    summary_rows = []
+    rows = []
     for name, cell, experiments in planned:
-        runs = execute_run(cell, out_dir / name, experiments, datasets)
-        final = [run[-1] for run in runs]
-        alacc = np.array([[rec.alacc_test for rec in run] for run in runs]).mean(axis=0)
-        ensacc = np.array([[rec.ensacc_test for rec in run] for run in runs]).mean(axis=0)
-        summary_rows.append(
-            {
-                "cell": name,
-                "policy": cell["policy"],
-                "c": cell["c"],
-                "pretrain": int(cell["pretrain"]),
-                "noise": float(cell["noise"]),
-                "final_round": final[0].round,
-                "final_alacc_test": float(np.mean([r.alacc_test for r in final])),
-                "final_ensacc_test": float(np.mean([r.ensacc_test for r in final])),
-                "best_alacc_test": float(alacc.max()),
-                "best_ensacc_test": float(ensacc.max()),
-            }
-        )
-    _write_atomic(out_dir / "summary.csv", _csv(list(summary_rows[0]), [list(r.values()) for r in summary_rows]))
-    print(f"wrote {out_dir}/summary.csv with {len(summary_rows)} cells")
+        agg = execute_run(cell, out_dir / name, experiments, datasets)
+        alacc, ensacc = agg.mean["alacc_test"], agg.mean["ensacc_test"]
+        rows.append([name, cell["policy"], cell["c"], int(cell["pretrain"]), float(cell["noise"]),
+                     int(agg.rounds[-1]), alacc[-1], ensacc[-1], alacc.max(), ensacc.max()])
+    _write_atomic(out_dir / "summary.csv", _csv(SUMMARY_CSV_COLUMNS, rows))
+    print(f"wrote {out_dir}/summary.csv with {len(rows)} cells")
     return EXIT_OK
 
 

@@ -77,6 +77,9 @@ class Dataset:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
         if self.K < 2:
             raise ValueError("need at least 2 classes")
+        # The extremes are NaN or infinite exactly when some entry is; no mask is allocated.
+        if self.X.size and not (np.isfinite(self.X.min()) and np.isfinite(self.X.max())):
+            raise ValueError(f"{self.split} features hold NaN or infinite values")
         self.y = check_labels(self.y, self.K, len(self.X))
         self.X.setflags(write=False)
         self.y.setflags(write=False)
@@ -135,9 +138,11 @@ def gen_blobs(
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
     rng = np.random.default_rng(seed)
-    centers = centers_scale * rng.standard_normal((K, d))
     y = np.repeat(np.arange(K, dtype=np.int64), n_per_class)
-    X = centers[y] + noise_sigma * rng.standard_normal((K * n_per_class, d))
+    # A huge scale overflows to inf (or NaN) silently here; Dataset rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = centers_scale * rng.standard_normal((K, d))
+        X = centers[y] + noise_sigma * rng.standard_normal((K * n_per_class, d))
     order = rng.permutation(len(y))
     return Dataset(X=X[order], y=y[order], K=K)
 

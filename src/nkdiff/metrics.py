@@ -110,13 +110,14 @@ def disagreement_stats(model_a: Learner, model_b: Learner, test: Dataset) -> tup
 
 
 def aggregate_seeds(runs: Sequence[Sequence[MetricsRecord]]) -> AggregateSeries:
-    """Mean and 95% CI half-width per round across repeated experiments.
+    """Mean and 95% CI half-width per round across one or more repeated experiments.
 
     Half-width is z * s / sqrt(R) with the sample standard deviation s
-    (ddof=1) and z = 1.96.
+    (ddof=1) and z = 1.96. Means sum the runs in order, one round at a time.
+    One run gives its own values as means, with zero-width intervals.
     """
-    if len(runs) < 2:
-        raise ValueError("need at least 2 runs to aggregate")
+    if not runs:
+        raise ValueError("need at least 1 run to aggregate")
     lengths = {len(run) for run in runs}
     if len(lengths) != 1:
         raise ValueError(f"runs have unequal lengths {sorted(lengths)}")
@@ -130,5 +131,6 @@ def aggregate_seeds(runs: Sequence[Sequence[MetricsRecord]]) -> AggregateSeries:
     for name in AGG_FIELDS:
         values = np.array([[getattr(rec, name) for rec in run] for run in runs], dtype=np.float64)
         mean[name] = values.mean(axis=0)
-        ci95[name] = CI95_Z * values.std(axis=0, ddof=1) / np.sqrt(n_runs)
+        # One run has no spread: ddof=0 makes its deviation exactly 0, with no warning.
+        ci95[name] = CI95_Z * values.std(axis=0, ddof=min(1, n_runs - 1)) / np.sqrt(n_runs)
     return AggregateSeries(rounds=rounds, mean=mean, ci95=ci95)

@@ -91,13 +91,14 @@ class TrainHyperparams:
             raise ValueError("batch_size must be a positive integer")
 
 
-@dataclass
+@dataclass(eq=False)
 class Learner:
     """One classifier in the population.
 
     The oracle is the learner holding labels: it never trains, and answers
     label queries from ``held_labels`` (the label vector it owns for the
-    training inputs) instead of running its network.
+    training inputs) instead of running its network. Two learners are equal
+    only if they are the same object.
     """
 
     id: int
@@ -105,7 +106,7 @@ class Learner:
     params: np.ndarray
     held_labels: np.ndarray | None = field(default=None, repr=False)
     # forward_stack outputs for one (spec, params) state; see forward_stack.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_oracle(self) -> bool:

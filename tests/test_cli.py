@@ -1,6 +1,7 @@
 """Unit tests for the command-line front-end and its CSV outputs."""
 
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkdiff import cli, data, engine, write_idx
+from nkdiff import MetricsRecord, cli, data, engine, write_idx
 from nkdiff.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -259,6 +260,20 @@ class TestRun:
         assert err.count("\n") == 1 and err.startswith("numeric error: learner ")
         assert re.search(r"\(seed \d+, round \d+\)$", err.strip())
 
+    @pytest.mark.parametrize("key", ["centers_scale", "noise_sigma"])
+    def test_non_finite_features_are_config_error_without_output(self, tmp_path, capsys, key):
+        # The blobs overflow to inf or NaN: the data is refused, not a learner blamed.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"blobs": {key: 1e308}, "seeds": 1, "rounds": 1}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: train features hold NaN or infinite values\n"
+        assert not out.exists()
+
     def test_unwritable_out_dir_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -418,6 +433,33 @@ class TestSweep:
         assert len(skipped) == 1 and skipped[0].startswith("skipping cell btb_c3_")
         cells = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert cells == ["btb_c2_preoff_noise0", "oo_c2_preoff_noise0", "oo_c3_preoff_noise0"]
+
+    def test_summary_reads_the_agg_csv_means(self, tmp_path, monkeypatch):
+        # 16 seeds whose last-round mean prints 0.600001 when summed pairwise
+        # (np.mean of a list) and 0.600000 when summed in order (agg.csv).
+        last = [0.61, 0.57, 0.58, 0.55, 0.54, 0.63, 0.63, 0.66, 0.56, 0.68, 0.59, 0.68, 0.58, 0.56, 0.61, 0.570008]
+
+        def crafted_run(cfg, data):
+            return [
+                MetricsRecord(round=r, alacc_test=v, ensacc_test=v, alacc_train=v, ensacc_val=v,
+                              oracle_sessions=r, forward_ops=r, per_learner_acc=np.zeros(1))
+                for r, v in ((1, 0.5), (2, last[cfg.master_seed]))
+            ]
+
+        monkeypatch.setattr(cli, "run_experiment", crafted_run)
+        path = self.sweep_config(tmp_path, {"seeds": 16, "policies": ["btb", "oo"]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        with open(out / "summary.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        for row in rows:
+            with open(out / row["cell"] / "agg.csv") as f:
+                final = list(csv.DictReader(f))[-1]
+            assert row["final_round"] == final["round"] == "2"
+            for metric in ("alacc_test", "ensacc_test"):
+                assert row[f"final_{metric}"] == final[f"{metric}_mean"] == "0.600000"
+                assert float(row[f"final_{metric}"]) <= float(row[f"best_{metric}"])
 
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
         path = self.sweep_config(

@@ -36,6 +36,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 2]), K=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.zeros((3, 2))
+        X[1, 1] = bad
+        with pytest.raises(ValueError, match="validation features hold NaN or infinite values"):
+            Dataset(X=X, y=np.array([0, 1, 0]), K=2, split="validation")
+
 
 LABEL_X = np.random.default_rng(0).standard_normal((4, 3))
 LABEL_SPEC = ModelSpec(layer_widths=(3, 5, 3), seed=2)

@@ -1,6 +1,7 @@
 """Unit tests for accuracies, ensemble voting, disagreement, aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nkdiff import (
     predict,
     unpack_params,
 )
+from nkdiff.metrics import AGG_FIELDS
 from conftest import balanced_dataset, zeroed
 
 
@@ -197,9 +199,19 @@ class TestAggregateSeeds:
         with pytest.raises(ValueError):
             aggregate_seeds([[record(1, 0.5)], [record(1, 0.5), record(2, 0.5)]])
 
-    def test_single_run_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_seeds([[record(1, 0.5)]])
+    def test_single_run_is_its_own_mean(self):
+        run = [record(1, 0.3), record(2, 0.7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = aggregate_seeds([run])
+        assert list(agg.rounds) == [1, 2]
+        for name in AGG_FIELDS:
+            assert list(agg.mean[name]) == [float(getattr(rec, name)) for rec in run]
+            assert list(agg.ci95[name]) == [0.0, 0.0]
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 run"):
+            aggregate_seeds([])
 
     def test_accuracy_means_stay_in_unit_interval(self):
         rng = np.random.default_rng(0)

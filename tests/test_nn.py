@@ -58,6 +58,13 @@ class TestInitLearner:
         b = init_learner(small_spec, 3)
         assert np.array_equal(a.params, b.params)
 
+    def test_equality_is_identity(self, small_spec):
+        a = init_learner(small_spec, 0)
+        b = init_learner(small_spec, 0)
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert [b, a].index(a) == 1 and len({a, b}) == 2
+
     def test_different_ids_differ(self, small_spec):
         a = init_learner(small_spec, 0)
         b = init_learner(small_spec, 1)

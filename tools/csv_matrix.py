@@ -5,11 +5,11 @@ Usage, from the root of a source checkout::
     python3 tools/csv_matrix.py OUT > digests.txt
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
-checkout it sits in, runs 30 ``nkdiff run`` commands and one ``nkdiff sweep``
-into OUT and prints one ``sha256  path`` line per CSV written (109 in all),
-with paths relative to OUT, sorted. To check that a change leaves every
-output float as it was, run it on two checkouts and ``diff`` the two
-listings. The grid:
+checkout it sits in, writes a small IDX task into ``OUT/idx_data``, runs 33
+``nkdiff run`` commands and two ``nkdiff sweep`` commands into OUT and prints
+one ``sha256  path`` line per CSV written (149 in all), with paths relative
+to OUT, sorted. To check that a change leaves every output float as it was,
+run it on two checkouts and ``diff`` the two listings. The grid:
 
 - a default ``nkdiff run`` (``btb``, C=2, 10 rounds, 5 seeds);
 - the three configs of acceptance criterion 3 (``btb`` and ``pom`` at C=2,
@@ -25,8 +25,16 @@ listings. The grid:
   population of 10;
 - 5-round, 2-seed ``btb`` runs at C=2 with ``"shuffle": false``, warm-up off
   and on, so batches follow row order and no shuffle stream is read;
+- a 5-round, 1-seed ``btb`` run at C=2, whose ``agg.csv`` holds the run's own
+  values with zero-width intervals;
+- a 3-round, 2-seed ``eq`` run at C=5 with warm-up (learning rate 0.05) on
+  an IDX task of 8x8 images that ``nkdiff.write_idx`` writes from a fixed
+  seed, so the files are read by ``load_idx`` and validation is carved out
+  of the training files;
 - a sweep of ``btb`` and ``oo`` x label noise 0 and 0.3 (3 rounds, 2 seeds,
-  default task): its ``summary.csv`` and each cell's three CSVs.
+  default task): its ``summary.csv`` and each cell's three CSVs;
+- a sweep of ``btb`` and ``pom`` at C=2 over 16 seeds (3 rounds, the small
+  task of criterion 3), where ``summary.csv`` reads means of 8 or more seeds.
 """
 
 from __future__ import annotations
@@ -40,8 +48,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from nkdiff import write_idx  # noqa: E402
 from nkdiff.cli import main as cli_main  # noqa: E402
 
 CRITERION_3_BLOBS = {
@@ -55,11 +66,30 @@ CRITERION_3_BLOBS = {
     "val_frac": 0.2,
 }
 
-SWEEP = {"policies": ["btb", "oo"], "noise_levels": [0.0, 0.3], "rounds": 3, "seeds": 2}
+SWEEPS = {
+    "sweep": {"policies": ["btb", "oo"], "noise_levels": [0.0, 0.3], "rounds": 3, "seeds": 2},
+    "sweep_16seeds": {"policies": ["btb", "pom"], "rounds": 3, "seeds": 16, "blobs": CRITERION_3_BLOBS},
+}
 
 
-def grid() -> list[tuple[str, dict]]:
-    """(directory name, config) for every ``nkdiff run`` of the matrix."""
+def write_idx_task(directory: Path) -> dict:
+    """Write 8x8 IDX train (150 images) and test (50) files; return their ``idx`` config section."""
+    directory.mkdir()
+    rng = np.random.default_rng(11)
+    templates = rng.integers(0, 256, size=(10, 8, 8))
+    section = {"val_frac": 0.2, "seed": 3}
+    for part, n in (("train", 150), ("test", 50)):
+        labels = rng.integers(0, 10, size=n)
+        noise = rng.normal(0.0, 60.0, size=(n, 8, 8))
+        images = np.clip(templates[labels] + noise, 0, 255).astype(np.uint8)
+        section[f"{part}_images"] = str(directory / f"{part}_images.idx")
+        section[f"{part}_labels"] = str(directory / f"{part}_labels.idx")
+        write_idx(section[f"{part}_images"], section[f"{part}_labels"], images, labels)
+    return section
+
+
+def grid(idx: dict) -> list[tuple[str, dict]]:
+    """(directory name, config) for every ``nkdiff run`` of the matrix; ``idx`` is the IDX task's section."""
     runs: list[tuple[str, dict]] = [("default", {})]
     small = {"n": 10, "rounds": 4, "seeds": 2, "blobs": CRITERION_3_BLOBS}
     runs += [
@@ -88,6 +118,11 @@ def grid() -> list[tuple[str, dict]]:
         runs.append((f"noshuffle_btb_pre{'on' if pretrain else 'off'}",
                      {"rounds": 5, "seeds": 2, "policy": "btb", "c": 2,
                       "shuffle": False, "pretrain": pretrain}))
+    runs += [
+        ("one_seed_btb", {"rounds": 5, "seeds": 1, "policy": "btb", "c": 2}),
+        ("idx_eq_preon", {"dataset": "idx", "idx": idx, "rounds": 3, "seeds": 2, "policy": "eq",
+                          "c": 5, "pretrain": True, "batch_size": 16, "learning_rate": 0.05}),
+    ]
     return runs
 
 
@@ -98,7 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists():
         parser.error(f"{args.out} already exists")
     args.out.mkdir(parents=True)
-    for command, name, config in [*(("run", *run) for run in grid()), ("sweep", "sweep", SWEEP)]:
+    idx = write_idx_task(args.out / "idx_data")
+    for command, name, config in [*(("run", *run) for run in grid(idx)), *(("sweep", *s) for s in SWEEPS.items())]:
         path = args.out / f"{name}.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()):
