@@ -144,7 +144,17 @@ def gen_blobs(
         centers = centers_scale * rng.standard_normal((K, d))
         X = centers[y] + noise_sigma * rng.standard_normal((K * n_per_class, d))
     order = rng.permutation(len(y))
-    return Dataset(X=X[order], y=y[order], K=K)
+    return Dataset(X=X[order], y=y[order], K=K, split="blobs")
+
+
+def _split(ds: Dataset, seed: int, **sizes: int) -> list[Dataset]:
+    """Consecutive named slices of ``default_rng(seed).permutation(len(ds))``, none empty."""
+    if min(sizes.values()) < 1:
+        named = ", ".join(f"{name} {size}" for name, size in sizes.items())
+        raise ValueError(f"degenerate split of {len(ds)} rows: {named}")
+    order = np.random.default_rng(seed).permutation(len(ds))
+    ends = np.cumsum(list(sizes.values()))[:-1]
+    return [ds.take(part, name) for name, part in zip(sizes, np.split(order, ends))]
 
 
 def split_dataset(
@@ -158,17 +168,7 @@ def split_dataset(
     n = len(ds)
     n_train = round(n * train_frac)
     n_val = round(n * val_frac)
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
-        raise ValueError(
-            f"degenerate split {n_train}/{n_val}/{n_test} for {n} rows"
-        )
-    order = np.random.default_rng(seed).permutation(n)
-    return (
-        ds.take(order[:n_train], "train"),
-        ds.take(order[n_train : n_train + n_val], "validation"),
-        ds.take(order[n_train + n_val :], "test"),
-    )
+    return tuple(_split(ds, seed, train=n_train, validation=n_val, test=n - n_train - n_val))
 
 
 # Corruption streams are namespaced so a corruption seed never replays the
@@ -307,14 +307,8 @@ def build_datasets(spec) -> tuple[Dataset, Dataset, Dataset]:
         return split_dataset(pool, spec.train_frac, spec.val_frac, seed=spec.seed)
     if isinstance(spec, IdxSpec):
         full_train = load_idx(spec.train_images, spec.train_labels)
-        test = load_idx(spec.test_images, spec.test_labels)
-        test = replace(test, split="test")
-        n = len(full_train)
-        n_val = round(n * spec.val_frac)
-        if n_val < 1 or n - n_val < 1:
-            raise ValueError(f"degenerate validation carve-out for {n} rows")
-        order = np.random.default_rng(spec.seed).permutation(n)
-        train = full_train.take(order[n_val:], "train")
-        val = full_train.take(order[:n_val], "validation")
+        test = replace(load_idx(spec.test_images, spec.test_labels), split="test")
+        n_val = round(len(full_train) * spec.val_frac)
+        val, train = _split(full_train, spec.seed, validation=n_val, train=len(full_train) - n_val)
         return train, val, test
     raise TypeError(f"unknown dataset spec {type(spec).__name__}")

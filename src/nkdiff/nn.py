@@ -189,27 +189,13 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 def _class_sum(p: np.ndarray) -> np.ndarray:
     """Column sums of a class-major (K, M) array, added in numpy's row order.
 
-    ``np.add.reduce(q, axis=1)`` on the (M, K) transpose q sums each row
-    pairwise: fewer than 8 terms in sequence, as a reduction over axis 0
-    does; up to 128 in 8 interleaved partial sums, combined as a tree, then
-    the rest in sequence; above 128 the two halves (the first a multiple of 8
-    long) apart. Repeating that order on whole rows of M gives the same sums
-    bit for bit.
+    Below 8 classes numpy adds each row of the (M, K) transpose in sequence,
+    as a reduction over axis 0 does; from 8 on it adds them pairwise, so
+    numpy itself reduces a row-major copy of the transpose.
     """
-    K = len(p)
-    if K < 8:
+    if len(p) < 8:
         return np.add.reduce(p, axis=0)
-    if K > 128:
-        half = K // 2 - K // 2 % 8
-        return _class_sum(p[:half]) + _class_sum(p[half:])
-    tail = K - K % 8
-    r = p[:8].copy()
-    for i in range(8, tail, 8):
-        r += p[i : i + 8]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in p[tail:]:
-        s += row
-    return s
+    return np.add.reduce(p.T.copy(), axis=1)
 
 
 def _distributions(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
@@ -217,8 +203,8 @@ def _distributions(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
 
     One stacked pass: parameters are stacked to (L, P) and each layer is one
     ``np.matmul``. The softmax tail runs once on a class-major (K, L*n) copy
-    of the logits, so each reduction over the classes is K-1 elementwise
-    operations on long rows rather than L*n short reductions.
+    of the logits, so the class max, and below 8 classes each class sum, is
+    K-1 elementwise operations on long rows rather than L*n short reductions.
     """
     spec, n = learners[0].spec, len(X)
     params = np.stack([learner.params for learner in learners])

@@ -271,7 +271,7 @@ class TestRun:
             code = main(["run", "--config", str(path), "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "config error: train features hold NaN or infinite values\n"
+        assert err == "config error: blobs features hold NaN or infinite values\n"
         assert not out.exists()
 
     def test_unwritable_out_dir_is_io_error(self, tmp_path):

@@ -9,9 +9,11 @@ from nkdiff import (
     IdxCountMismatchError,
     IdxFormatError,
     IdxMagicError,
+    IdxSpec,
     IdxTruncatedError,
     ModelSpec,
     TrainHyperparams,
+    build_datasets,
     corrupt_labels,
     corruption_indices,
     gen_blobs,
@@ -145,6 +147,10 @@ class TestGenBlobs:
         assert len(ds) == 300
         assert np.array_equal(np.bincount(ds.y), [100, 100, 100])
 
+    def test_pool_is_named_blobs(self):
+        # The pool is not a split yet; split_dataset names the splits it takes.
+        assert gen_blobs(5, 2, 3, seed=0).split == "blobs"
+
     @pytest.mark.parametrize("kwargs", [
         {"n_per_class": 0, "K": 3, "d": 2},
         {"n_per_class": 10, "K": 1, "d": 2},
@@ -188,6 +194,38 @@ class TestSplitDataset:
             split_dataset(ds, 0.5, 0.5, seed=0)
         with pytest.raises(ValueError):
             split_dataset(ds, -0.1, 0.5, seed=0)
+
+
+class TestIdxCarveOut:
+    @staticmethod
+    def spec(tmp_path, n, val_frac, seed=3):
+        # Every pixel of row i is i, so each row of X identifies its file row.
+        paths = {}
+        for part, rows in (("train", n), ("test", 4)):
+            paths[f"{part}_images"] = str(tmp_path / f"{part}_images.idx")
+            paths[f"{part}_labels"] = str(tmp_path / f"{part}_labels.idx")
+            images = np.repeat(np.arange(rows, dtype=np.uint8), 4).reshape(rows, 2, 2)
+            write_idx(paths[f"{part}_images"], paths[f"{part}_labels"], images, np.arange(rows) % 10)
+        return IdxSpec(**paths, val_frac=val_frac, seed=seed)
+
+    def test_validation_is_the_head_of_the_permutation(self, tmp_path):
+        spec = self.spec(tmp_path, n=20, val_frac=0.25)
+        full = load_idx(spec.train_images, spec.train_labels)
+        train, val, test = build_datasets(spec)
+        perm = np.random.default_rng(spec.seed).permutation(20)
+        assert np.array_equal(val.X, full.X[perm[:5]]) and np.array_equal(val.y, full.y[perm[:5]])
+        assert np.array_equal(train.X, full.X[perm[5:]]) and np.array_equal(train.y, full.y[perm[5:]])
+        assert np.array_equal(test.X, load_idx(spec.test_images, spec.test_labels).X)
+        assert (train.split, val.split, test.split) == ("train", "validation", "test")
+
+    @pytest.mark.parametrize(
+        "val_frac, sizes",
+        [(0.01, "validation 0, train 20"), (0.99, "validation 20, train 0")],
+        ids=["empty_validation", "empty_train"],
+    )
+    def test_empty_split_rejected_naming_both_sizes(self, tmp_path, val_frac, sizes):
+        with pytest.raises(ValueError, match=f"20 rows: {sizes}$"):
+            build_datasets(self.spec(tmp_path, n=20, val_frac=val_frac))
 
 
 class TestCorruptLabels:

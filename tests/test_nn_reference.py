@@ -220,10 +220,11 @@ def test_one_out_buffer_across_sgd_steps_matches_reference(widths):
 
 
 @pytest.mark.parametrize("n_learners", [1, 9])
-@pytest.mark.parametrize("K", [2, 3, 7, 8, 10, 16, 130])
+@pytest.mark.parametrize("K", [2, 3, 7, 8, 10, 16, 128, 129, 130, 256, 257])
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
 def test_forward_stack_matches_reference_bit_for_bit(n_learners, K, tied):
-    # K spans numpy's three summation orders: in sequence, 8 partial sums, halves.
+    # K spans numpy's three summation orders: in sequence, 8 partial sums, halves;
+    # 128 is the last single block, 129 and 256 halve once, 257 twice.
     spec = ModelSpec(layer_widths=(6, 12, K), seed=K)
     learners = [init_learner(spec, i) for i in range(n_learners)]
     for learner in learners:
