@@ -40,25 +40,27 @@ SUMMARY_CSV_COLUMNS = ("cell", "policy", "c", "pretrain", "noise", "final_round"
 
 # Every config key with its JSON type and its default. float is any JSON
 # number a float holds, [int] a list of integers, and a dataclass a nested
-# section typed by its fields. A None default leaves the key unset.
+# section typed by its fields. A None default leaves the key unset. A key
+# that sets a library field takes that field's default from the library.
+_DEFAULT = ExperimentConfig(policy="btb")
 SCHEMA: dict = {
-    "policy": (str, "btb"),
-    "n": (int, 10),
-    "c": (int, 2),
-    "rounds": (int, 10),
+    "policy": (str, _DEFAULT.policy),
+    "n": (int, _DEFAULT.n_models),
+    "c": (int, _DEFAULT.capacity),
+    "rounds": (int, _DEFAULT.rounds),
     "seeds": (int, 5),
-    "master_seed": (int, 0),
-    "pretrain": (bool, False),
+    "master_seed": (int, _DEFAULT.master_seed),
+    "pretrain": (bool, _DEFAULT.pretrain),
     "noise": (float, 0.0),
     "random_labels": (bool, False),
-    "noise_seed": (int, 97),
+    "noise_seed": (int, CorruptionSpec(fraction=0.0).seed),
     "dataset": (str, "blobs"),
     "blobs": (BlobsSpec, asdict(BlobsSpec())),
     "idx": (IdxSpec, None),
-    "hidden_widths": ([int], [16]),
-    "learning_rate": (float, 0.005),
-    "batch_size": (int, 32),
-    "shuffle": (bool, True),
+    "hidden_widths": ([int], list(_DEFAULT.hidden_widths)),
+    "learning_rate": (float, _DEFAULT.hyperparams.learning_rate),
+    "batch_size": (int, _DEFAULT.hyperparams.batch_size),
+    "shuffle": (bool, _DEFAULT.hyperparams.shuffle),
     "out": (str, None),
 }
 DEFAULT_CONFIG = {key: default for key, (_, default) in SCHEMA.items()}
@@ -96,11 +98,12 @@ def load_config_file(path: str) -> dict:
 
 
 def merge_config(base: dict, *layers: dict) -> dict:
-    """Later layers win; nested dataset/hyperparam dicts merge key-wise."""
+    """Later layers win; nested dataset/hyperparam dicts merge key-wise. A None
+    leaves a known key as it was, and an unknown key keeps it for check_config."""
     merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
     for layer in layers:
         for key, value in layer.items():
-            if value is None:
+            if value is None and (key in SCHEMA or key in SWEEP_AXES):
                 continue
             if isinstance(value, dict) and isinstance(merged.get(key), dict):
                 merged[key].update(value)
@@ -150,8 +153,8 @@ def check_config(config: dict, sweep: bool) -> None:
     axes = [axis for axis in SWEEP_AXES if axis in config]
     if axes and not sweep:
         raise ConfigurationError(f"sweep axes {axes} are only read by nkdiff sweep")
-    # None marks an unset key: merge_config never sets one from a layer.
-    given = {k: v for k, v in config.items() if k not in SWEEP_AXES and v is not None}
+    # None marks an unset key: merge_config sets one from a layer only for an unknown key.
+    given = {k: v for k, v in config.items() if k not in SWEEP_AXES and (v is not None or k not in SCHEMA)}
     _check(given, {key: kind for key, (kind, _) in SCHEMA.items()}, "")
     # Policy names are case-insensitive; the manifest and its hash see one spelling.
     config["policy"] = config["policy"].lower()
@@ -369,11 +372,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        layers = [DEFAULT_CONFIG]
-        if args.config:
-            layers.append(load_config_file(args.config))
-        layers.append(_overrides_from_args(args))
-        config = merge_config(*layers)
+        file_config = load_config_file(args.config) if args.config else {}
+        flags = _overrides_from_args(args)
+        for axis, key in SWEEP_AXES.items():
+            if file_config.get(axis) is not None and flags[key] is not None:
+                raise ConfigurationError(f"flag --{key} and sweep axis {axis} both set {key}")
+        config = merge_config(DEFAULT_CONFIG, file_config, flags)
         check_config(config, sweep=args.command == "sweep")
         if args.command == "run":
             return cmd_run(config)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class CorruptionSpec:
 
     fraction: float
     mode: str = "uniform_replace"
-    seed: int = 0
+    seed: int = 97
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
@@ -116,12 +116,7 @@ class CorruptionSpec:
 
 
 def gen_blobs(
-    n_per_class: int,
-    K: int,
-    d: int,
-    centers_scale: float = 1.0,
-    noise_sigma: float = 1.0,
-    seed: int = 0,
+    n_per_class: int, K: int, d: int, centers_scale: float, noise_sigma: float, seed: int
 ) -> Dataset:
     """Isotropic Gaussian blobs: K classes, n_per_class points each.
 
@@ -158,7 +153,7 @@ def _split(ds: Dataset, seed: int, **sizes: int) -> list[Dataset]:
 
 
 def split_dataset(
-    ds: Dataset, train_frac: float, val_frac: float, seed: int = 0
+    ds: Dataset, train_frac: float, val_frac: float, seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint train/validation/test partition covering every row."""
     if train_frac <= 0 or val_frac <= 0:
@@ -307,7 +302,8 @@ def build_datasets(spec) -> tuple[Dataset, Dataset, Dataset]:
         return split_dataset(pool, spec.train_frac, spec.val_frac, seed=spec.seed)
     if isinstance(spec, IdxSpec):
         full_train = load_idx(spec.train_images, spec.train_labels)
-        test = replace(load_idx(spec.test_images, spec.test_labels), split="test")
+        test = load_idx(spec.test_images, spec.test_labels)
+        test.split = "test"
         n_val = round(len(full_train) * spec.val_frac)
         val, train = _split(full_train, spec.seed, validation=n_val, train=len(full_train) - n_val)
         return train, val, test

@@ -79,9 +79,7 @@ class ExperimentConfig:
     rounds: int = 10
     pretrain: bool = False
     hidden_widths: tuple[int, ...] = (16,)
-    hyperparams: TrainHyperparams = field(
-        default_factory=lambda: TrainHyperparams(learning_rate=0.005, batch_size=32)
-    )
+    hyperparams: TrainHyperparams = field(default_factory=TrainHyperparams)
     dataset: BlobsSpec | IdxSpec = field(default_factory=BlobsSpec)
     corruption: CorruptionSpec | None = None
     master_seed: int = 0

@@ -80,8 +80,8 @@ class ModelSpec:
 
 @dataclass
 class TrainHyperparams:
-    learning_rate: float
-    batch_size: int
+    learning_rate: float = 0.005
+    batch_size: int = 32
     shuffle: bool = True
 
     def __post_init__(self):

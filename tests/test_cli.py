@@ -16,7 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkdiff import MetricsRecord, cli, data, engine, write_idx
+from nkdiff import (
+    BlobsSpec,
+    CorruptionSpec,
+    ExperimentConfig,
+    MetricsRecord,
+    cli,
+    data,
+    engine,
+    run_experiment,
+    write_idx,
+)
 from nkdiff.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -415,6 +425,24 @@ class TestSweep:
             for name in csvs:
                 assert (cell / name).read_bytes() == (single / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, axis, values",
+        [
+            ("--policy", "oo", "policies", ["btb", "oo"]),
+            ("--c", "3", "capacities", [2, 5]),
+            ("--pretrain", "on", "pretraining", [False, True]),
+            ("--noise", "0.3", "noise_levels", [0.0, 0.3]),
+        ],
+        ids=["policy", "c", "pretrain", "noise"],
+    )
+    def test_flag_and_axis_of_one_key_are_rejected(self, tmp_path, capsys, flag, value, axis, values):
+        path = self.sweep_config(tmp_path, {axis: values})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), flag, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and flag in err and axis in err
+        assert not out.exists()
+
     def test_cells_with_one_directory_name_are_rejected(self, tmp_path, capsys):
         # Both noise levels print as noise0.1, so the second cell would overwrite the first.
         path = self.sweep_config(tmp_path, {"noise_levels": [0.1, 0.1000001]})
@@ -494,6 +522,44 @@ class TestFlags:
         assert manifests[0] == manifests[1]
         assert json.loads(manifests[0])["config"]["policy"] == "btb"
 
+    def test_pretrain_flag_matches_and_overrides_the_config_key(self, tmp_path):
+        def csvs(name, extra, *flags):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"blobs": FAST_BLOBS, "rounds": 2, "seeds": 1, "n": 4, **extra}))
+            out = tmp_path / name
+            assert main(["run", "--config", str(path), "--out", str(out), *flags]) == EXIT_OK
+            return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+        on, off = csvs("key_on", {"pretrain": True}), csvs("key_off", {})
+        assert len(on) == 2 and on != off
+        assert csvs("flag_on", {}, "--pretrain", "on") == on
+        assert csvs("flag_off", {"pretrain": True}, "--pretrain", "off") == off
+
+    def test_random_labels_run_and_sweep_cell_match_the_library(self, tmp_path):
+        config = {"blobs": FAST_BLOBS, "rounds": 3, "seeds": 1, "n": 4, "random_labels": True}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        experiment = ExperimentConfig(
+            policy="btb", n_models=4, rounds=3, dataset=BlobsSpec(**FAST_BLOBS),
+            corruption=CorruptionSpec(fraction=1.0, mode="full_random"),
+        )
+        expected = cli.format_run_csv(run_experiment(experiment)).encode()
+        assert (tmp_path / "run" / "run_0.csv").read_bytes() == expected
+        assert (tmp_path / "sweep" / "btb_c2_preoff_randomlabels" / "run_0.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "flags, corruption",
+        [([], None), (["--noise", "0.3"], CorruptionSpec(fraction=0.3))],
+        ids=["defaults", "noise"],
+    )
+    def test_default_run_matches_the_library_defaults(self, tmp_path, flags, corruption):
+        out = tmp_path / "out"
+        assert main(["run", "--seeds", "1", "--rounds", "3", *flags, "--out", str(out)]) == EXIT_OK
+        experiment = ExperimentConfig(policy="btb", rounds=3, corruption=corruption)
+        assert (out / "run_0.csv").read_text() == cli.format_run_csv(run_experiment(experiment))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -550,6 +616,8 @@ class TestBadInputs:
             ("run", {"learning_rate": float("inf")}, "learning_rate"),
             ("run", {"learning_rate": 10**400}, "learning_rate"),
             ("run", {"blobs": {"n_per_class": 10**20}}, "blobs.n_per_class"),
+            ("run", {"rundos": None}, "unknown config keys: ['rundos']"),
+            ("sweep", {"rundos": None}, "unknown config keys: ['rundos']"),
         ],
         ids=[
             "blobs_n_per_class_float",
@@ -575,6 +643,8 @@ class TestBadInputs:
             "learning_rate_infinite",
             "learning_rate_integer_beyond_float",
             "blobs_n_per_class_beyond_int64",
+            "run_unknown_key_null",
+            "sweep_unknown_key_null",
         ],
     )
     def test_exits_2_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys, command, bad, named):

@@ -136,20 +136,20 @@ class TestGenBlobs:
             assert nearest == label
 
     def test_deterministic_in_seed(self):
-        a = gen_blobs(20, 3, 4, seed=3)
-        b = gen_blobs(20, 3, 4, seed=3)
+        a = gen_blobs(20, 3, 4, 1.0, 1.0, seed=3)
+        b = gen_blobs(20, 3, 4, 1.0, 1.0, seed=3)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-        c = gen_blobs(20, 3, 4, seed=4)
+        c = gen_blobs(20, 3, 4, 1.0, 1.0, seed=4)
         assert not np.array_equal(a.X, c.X)
 
     def test_exact_class_counts(self):
-        ds = gen_blobs(n_per_class=100, K=3, d=2, seed=0)
+        ds = gen_blobs(n_per_class=100, K=3, d=2, centers_scale=1.0, noise_sigma=1.0, seed=0)
         assert len(ds) == 300
         assert np.array_equal(np.bincount(ds.y), [100, 100, 100])
 
     def test_pool_is_named_blobs(self):
         # The pool is not a split yet; split_dataset names the splits it takes.
-        assert gen_blobs(5, 2, 3, seed=0).split == "blobs"
+        assert gen_blobs(5, 2, 3, 1.0, 1.0, seed=0).split == "blobs"
 
     @pytest.mark.parametrize("kwargs", [
         {"n_per_class": 0, "K": 3, "d": 2},
@@ -159,18 +159,18 @@ class TestGenBlobs:
     ])
     def test_invalid_sizes(self, kwargs):
         with pytest.raises(ValueError):
-            gen_blobs(seed=0, **kwargs)
+            gen_blobs(**{"centers_scale": 1.0, "noise_sigma": 1.0, **kwargs}, seed=0)
 
 
 class TestSplitDataset:
     def test_sixty_twenty_twenty(self):
-        ds = gen_blobs(50, 2, 3, seed=1)  # 100 rows
+        ds = gen_blobs(50, 2, 3, 1.0, 1.0, seed=1)  # 100 rows
         train, val, test = split_dataset(ds, 0.6, 0.2, seed=0)
         assert (len(train), len(val), len(test)) == (60, 20, 20)
         assert (train.split, val.split, test.split) == ("train", "validation", "test")
 
     def test_partition_covers_all_rows(self):
-        ds = gen_blobs(41, 3, 4, seed=2)
+        ds = gen_blobs(41, 3, 4, 1.0, 1.0, seed=2)
         train, val, test = split_dataset(ds, 0.5, 0.25, seed=5)
         combined = np.vstack([train.X, val.X, test.X])
         assert combined.shape == ds.X.shape
@@ -180,14 +180,14 @@ class TestSplitDataset:
         assert np.array_equal(ds.X[order_orig], combined[order_comb])
 
     def test_deterministic(self):
-        ds = gen_blobs(30, 2, 3, seed=8)
+        ds = gen_blobs(30, 2, 3, 1.0, 1.0, seed=8)
         a = split_dataset(ds, 0.6, 0.2, seed=1)
         b = split_dataset(ds, 0.6, 0.2, seed=1)
         for x, y in zip(a, b):
             assert np.array_equal(x.X, y.X)
 
     def test_degenerate_split_rejected(self):
-        ds = gen_blobs(2, 2, 3, seed=0)  # 4 rows
+        ds = gen_blobs(2, 2, 3, 1.0, 1.0, seed=0)  # 4 rows
         with pytest.raises(ValueError):
             split_dataset(ds, 0.8, 0.1, seed=0)
         with pytest.raises(ValueError):
@@ -216,6 +216,21 @@ class TestIdxCarveOut:
         assert np.array_equal(val.X, full.X[perm[:5]]) and np.array_equal(val.y, full.y[perm[:5]])
         assert np.array_equal(train.X, full.X[perm[5:]]) and np.array_equal(train.y, full.y[perm[5:]])
         assert np.array_equal(test.X, load_idx(spec.test_images, spec.test_labels).X)
+        assert (train.split, val.split, test.split) == ("train", "validation", "test")
+
+    def test_each_split_is_built_once(self, tmp_path, monkeypatch):
+        # Two files read and two splits carved out: the test set is named, not rebuilt.
+        spec = self.spec(tmp_path, n=20, val_frac=0.25)
+        built = []
+        post_init = Dataset.__post_init__
+
+        def counting(ds):
+            built.append(ds)
+            post_init(ds)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        train, val, test = build_datasets(spec)
+        assert len(built) == 4
         assert (train.split, val.split, test.split) == ("train", "validation", "test")
 
     @pytest.mark.parametrize(

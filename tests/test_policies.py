@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nkdiff import (
     ConfigurationError,
+    RoundPlan,
     check_policy,
     group_btb,
     group_eq,
@@ -109,6 +110,25 @@ class TestOracleOnly:
     def test_capacity_exceeding_population(self):
         with pytest.raises(ConfigurationError):
             group_oo(4, 6, np.random.default_rng(0))
+
+
+class TestValidatePlan:
+    @pytest.mark.parametrize(
+        "groups, tag, message",
+        [
+            ([(4, (0,))], "btb", "teacher id 4 out of range"),
+            ([(0, (4,))], "btb", r"learner ids \(4,\) out of range"),
+            ([(1, (1,))], "btb", "model 1 assigned to teach itself"),
+            ([(0, (1, 2))], "btb", "has 2 learners, capacity allows 1"),
+            ([(0, (1,)), (2, (1,))], "btb", "model 1 appears twice"),
+            ([(0, (1,)), (1, (0,)), (2, (3,)), (2, (3,))], "pom", "once as teacher and once as learner"),
+        ],
+        ids=["teacher_out_of_range", "learner_out_of_range", "teaches_itself", "over_capacity",
+             "appears_twice", "pom_teacher_twice"],
+    )
+    def test_broken_plan_rejected(self, groups, tag, message):
+        with pytest.raises(ValueError, match=message):
+            validate_plan(RoundPlan(groups, tag), 4, capacity=2)
 
 
 class TestPom:

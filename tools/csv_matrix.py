@@ -5,9 +5,9 @@ Usage, from the root of a source checkout::
     python3 tools/csv_matrix.py OUT > digests.txt
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
-checkout it sits in, writes a small IDX task into ``OUT/idx_data``, runs 33
-``nkdiff run`` commands and two ``nkdiff sweep`` commands into OUT and prints
-one ``sha256  path`` line per CSV written (149 in all), with paths relative
+checkout it sits in, writes a small IDX task into ``OUT/idx_data``, runs 34
+``nkdiff run`` commands and three ``nkdiff sweep`` commands into OUT and prints
+one ``sha256  path`` line per CSV written (159 in all), with paths relative
 to OUT, sorted. To check that a change leaves every output float as it was,
 run it on two checkouts and ``diff`` the two listings. The grid:
 
@@ -31,10 +31,14 @@ run it on two checkouts and ``diff`` the two listings. The grid:
   an IDX task of 8x8 images that ``nkdiff.write_idx`` writes from a fixed
   seed, so the files are read by ``load_idx`` and validation is carved out
   of the training files;
+- a 5-round, 2-seed ``btb`` run at C=2 with ``"random_labels": true``, so
+  every training label is redrawn from the noise seed;
 - a sweep of ``btb`` and ``oo`` x label noise 0 and 0.3 (3 rounds, 2 seeds,
   default task): its ``summary.csv`` and each cell's three CSVs;
 - a sweep of ``btb`` and ``pom`` at C=2 over 16 seeds (3 rounds, the small
-  task of criterion 3), where ``summary.csv`` reads means of 8 or more seeds.
+  task of criterion 3), where ``summary.csv`` reads means of 8 or more seeds;
+- a random-labels sweep of ``btb`` and ``oo`` at C=2 (3 rounds, 2 seeds,
+  default task), whose cells are named ``..._randomlabels``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ CRITERION_3_BLOBS = {
 SWEEPS = {
     "sweep": {"policies": ["btb", "oo"], "noise_levels": [0.0, 0.3], "rounds": 3, "seeds": 2},
     "sweep_16seeds": {"policies": ["btb", "pom"], "rounds": 3, "seeds": 16, "blobs": CRITERION_3_BLOBS},
+    "sweep_randomlabels": {"policies": ["btb", "oo"], "c": 2, "rounds": 3, "seeds": 2, "random_labels": True},
 }
 
 
@@ -122,6 +127,7 @@ def grid(idx: dict) -> list[tuple[str, dict]]:
         ("one_seed_btb", {"rounds": 5, "seeds": 1, "policy": "btb", "c": 2}),
         ("idx_eq_preon", {"dataset": "idx", "idx": idx, "rounds": 3, "seeds": 2, "policy": "eq",
                           "c": 5, "pretrain": True, "batch_size": 16, "learning_rate": 0.05}),
+        ("randomlabels_btb", {"rounds": 5, "seeds": 2, "policy": "btb", "c": 2, "random_labels": True}),
     ]
     return runs
 
