@@ -44,7 +44,7 @@ from .nn import (
     Learner,
     ModelSpec,
     NonFiniteError,
-    OracleUpdateError,
+    Oracle,
     TrainHyperparams,
     forward_batch,
     forward_stack,

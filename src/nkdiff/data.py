@@ -1,8 +1,8 @@
 """Training data: synthetic Gaussian blobs, IDX file I/O, label corruption.
 
 All generators are pure functions of their seeds. Datasets are immutable once
-built: their X and y arrays are made read-only in place, so evaluated outputs
-can be memoized against them.
+built: their fields cannot be reassigned and their X and y arrays are made
+read-only in place, so evaluated outputs can be memoized against them.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def check_labels(y, K: int, n: int | None = None) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Feature matrix X with integer labels y in [0, K)."""
 
@@ -72,7 +72,7 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
         if self.K < 2:
@@ -80,7 +80,7 @@ class Dataset:
         # The extremes are NaN or infinite exactly when some entry is; no mask is allocated.
         if self.X.size and not (np.isfinite(self.X.min()) and np.isfinite(self.X.max())):
             raise ValueError(f"{self.split} features hold NaN or infinite values")
-        self.y = check_labels(self.y, self.K, len(self.X))
+        object.__setattr__(self, "y", check_labels(self.y, self.K, len(self.X)))
         self.X.setflags(write=False)
         self.y.setflags(write=False)
 
@@ -232,6 +232,11 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     Pixels are scaled to [0, 1]; labels are taken verbatim with K = 10.
     """
+    return Dataset(*_idx_arrays(images_path, labels_path), K=IDX_CLASSES)
+
+
+def _idx_arrays(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The (features, labels) arrays :func:`load_idx` builds its Dataset from."""
     (n_images, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
     (n_labels,), label_bytes = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if n_images != n_labels:
@@ -242,7 +247,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxFormatError(f"{labels_path}: {exc}") from None
     X = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols).astype(np.float64)
     X /= 255.0
-    return Dataset(X=X, y=labels, K=IDX_CLASSES)
+    return X, labels
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -302,8 +307,7 @@ def build_datasets(spec) -> tuple[Dataset, Dataset, Dataset]:
         return split_dataset(pool, spec.train_frac, spec.val_frac, seed=spec.seed)
     if isinstance(spec, IdxSpec):
         full_train = load_idx(spec.train_images, spec.train_labels)
-        test = load_idx(spec.test_images, spec.test_labels)
-        test.split = "test"
+        test = Dataset(*_idx_arrays(spec.test_images, spec.test_labels), K=IDX_CLASSES, split="test")
         n_val = round(len(full_train) * spec.val_frac)
         val, train = _split(full_train, spec.seed, validation=n_val, train=len(full_train) - n_val)
         return train, val, test

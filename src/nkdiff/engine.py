@@ -28,6 +28,7 @@ from .nn import (
     Learner,
     ModelSpec,
     NonFiniteError,
+    Oracle,
     TrainHyperparams,
     forward_stack,
     pseudolabels,
@@ -111,20 +112,17 @@ def policy_stream(master_seed: int, round_index: int) -> np.random.Generator:
 
 
 def run_session(
-    teacher: Learner,
+    teacher: Learner | Oracle,
     learner: Learner,
     X: np.ndarray,
     hp: TrainHyperparams,
     labels: np.ndarray,
     rng: np.random.Generator,
-) -> float | None:
+) -> float:
     """One teaching session: the learner trains for an epoch on the
     teacher's ``labels``, shuffled by ``rng``, and its mean loss is returned.
-    Returns None (a no-op) when the learner is the oracle. The teacher's
-    parameters are never touched.
+    The teacher is never touched.
     """
-    if learner.is_oracle:
-        return None
     if teacher.id == learner.id:
         raise ValueError(f"model {learner.id} cannot be its own teacher")
     return train_epoch(learner, X, labels, hp, rng)
@@ -150,19 +148,14 @@ def run_round(
     """
     validate_plan(plan, pop.n, capacity)
 
-    sessions: list[tuple[Learner, Learner]] = []
-    for teacher_id, learner_ids in plan.groups:
-        teacher = pop.learners[teacher_id]
-        for lid in learner_ids:
-            learner = pop.learners[lid]
-            if learner.is_oracle:
-                continue
-            sessions.append((teacher, learner))
-
-    label_cache: dict[int, np.ndarray] = {}
-    for teacher, _ in sessions:
-        if teacher.id not in label_cache:
-            label_cache[teacher.id] = pseudolabels(teacher, train.X)
+    sessions = [
+        (pop.learners[teacher_id], pop.learners[lid])
+        for teacher_id, learner_ids in plan.groups
+        for lid in learner_ids
+        if not pop.learners[lid].is_oracle
+    ]
+    teachers = {teacher.id: teacher for teacher, _ in sessions}
+    label_cache = {tid: pseudolabels(teacher, train.X) for tid, teacher in teachers.items()}
 
     for teacher, learner in sessions:
         rng = session_stream(master_seed, round_index, learner.id)

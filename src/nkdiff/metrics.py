@@ -52,11 +52,6 @@ class AggregateSeries:
     ci95: dict[str, np.ndarray]
 
 
-def _check_classifier(learner: Learner) -> None:
-    if learner.is_oracle:
-        raise ValueError("the oracle is never evaluated as a classifier")
-
-
 def ensemble_classify(distributions: np.ndarray) -> np.ndarray:
     """Class with the highest floored log-probability summed over axis 0, in
     member order, of a (members, ..., K) array; ties -> lowest index. So a
@@ -71,8 +66,6 @@ def ensemble_predict(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
     """:func:`ensemble_classify` vote of the given learners over every row of X."""
     if len(learners) == 0:
         raise ValueError("ensemble needs at least one member")
-    for learner in learners:
-        _check_classifier(learner)
     return ensemble_classify(np.stack([forward_batch(learner, X) for learner in learners]))
 
 
@@ -85,7 +78,6 @@ def accuracy(model_or_ensemble, ds: Dataset) -> float:
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     if isinstance(model_or_ensemble, Learner):
-        _check_classifier(model_or_ensemble)
         preds = predict(model_or_ensemble, ds.X)
     else:
         preds = ensemble_predict(list(model_or_ensemble), ds.X)

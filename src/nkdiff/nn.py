@@ -1,6 +1,6 @@
-"""Dense feed-forward classifiers: the population members.
+"""Dense feed-forward classifiers, and the oracle that holds the true labels.
 
-Every model in a population shares one :class:`ModelSpec` (an MLP with ReLU
+Every trainee in a population shares one :class:`ModelSpec` (an MLP with ReLU
 hidden layers and a softmax head). Parameters live in a single flat float64
 vector so learners can be hashed, copied and compared bit-for-bit. Training
 is plain mini-batch SGD on cross-entropy with analytic backprop.
@@ -9,7 +9,8 @@ is plain mini-batch SGD on cross-entropy with analytic backprop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from numbers import Integral
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -22,10 +23,6 @@ PROB_FLOOR = 1e-12
 # Sub-stream tag of parameter draws; population.py and engine.py key the
 # shuffle streams with other tags, so no two streams collide.
 _PARAMS_STREAM = 0
-
-
-class OracleUpdateError(RuntimeError):
-    """A training operation targeted the label-holding oracle."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -78,7 +75,7 @@ class ModelSpec:
         return self.layer_widths[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainHyperparams:
     learning_rate: float = 0.005
     batch_size: int = 32
@@ -87,30 +84,40 @@ class TrainHyperparams:
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be a non-negative real")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+        if isinstance(self.batch_size, bool) or not isinstance(self.batch_size, Integral) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be True or False, got {self.shuffle!r}")
 
 
 @dataclass(eq=False)
 class Learner:
-    """One classifier in the population.
+    """One trainee: a classifier that learns from its teachers' labels.
 
-    The oracle is the learner holding labels: it never trains, and answers
-    label queries from ``held_labels`` (the label vector it owns for the
-    training inputs) instead of running its network. Two learners are equal
-    only if they are the same object.
+    Two learners are equal only if they are the same object.
     """
+
+    is_oracle: ClassVar[bool] = False
 
     id: int
     spec: ModelSpec
     params: np.ndarray
-    held_labels: np.ndarray | None = field(default=None, repr=False)
     # forward_stack outputs for one (spec, params) state; see forward_stack.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def is_oracle(self) -> bool:
-        return self.held_labels is not None
+
+@dataclass(frozen=True, eq=False)
+class Oracle:
+    """The member holding a read-only copy of the training labels; it never trains."""
+
+    is_oracle: ClassVar[bool] = True
+
+    id: int
+    labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", np.array(self.labels))
+        self.labels.setflags(write=False)
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -134,14 +141,13 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     ]
 
 
-def init_learner(spec: ModelSpec, id: int, held_labels: np.ndarray | None = None) -> Learner:
+def init_learner(spec: ModelSpec, id: int) -> Learner:
     """Create a learner with scaled-uniform initial parameters.
 
     Each layer's entries are drawn from U[-s, s] with
     s = sqrt(6 / (fan_in + fan_out)), from a stream keyed by
     (spec.seed, learner id), so re-initialization is reproducible and
-    distinct ids get distinct draws. Given ``held_labels`` (checked and
-    copied), the learner is an oracle.
+    distinct ids get distinct draws.
     """
     init_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _PARAMS_STREAM, id)))
     params = np.empty(param_count(spec), dtype=np.float64)
@@ -150,9 +156,7 @@ def init_learner(spec: ModelSpec, id: int, held_labels: np.ndarray | None = None
         scale = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         w[...] = init_rng.uniform(-scale, scale, size=w.shape)
         b[...] = init_rng.uniform(-scale, scale, size=b.shape)
-    if held_labels is not None:
-        held_labels = check_labels(held_labels, spec.n_classes).copy()
-    return Learner(id=id, spec=spec, params=params, held_labels=held_labels)
+    return Learner(id=id, spec=spec, params=params)
 
 
 def _activations(
@@ -293,18 +297,19 @@ def predict(learner: Learner, X: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(learner, X), axis=1)
 
 
-def pseudolabels(teacher: Learner, X: np.ndarray) -> np.ndarray:
+def pseudolabels(teacher: Learner | Oracle, X: np.ndarray) -> np.ndarray:
     """The label vector this teacher supplies for the inputs X.
 
-    A regular teacher answers with its argmax predictions; the oracle
-    answers from its held label vector, which must line up row-for-row
-    with X.
+    A learner answers with its argmax predictions; the oracle with a
+    writable copy of its labels, which must line up row-for-row with X.
     """
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
         raise ValueError("pseudolabels need at least one input row")
     if teacher.is_oracle:
-        return check_labels(teacher.held_labels, teacher.spec.n_classes, len(X)).copy()
+        if len(teacher.labels) != len(X):
+            raise ValueError(f"{len(X)} rows but the oracle holds {len(teacher.labels)} labels")
+        return teacher.labels.copy()
     return predict(teacher, X)
 
 
@@ -387,8 +392,6 @@ def train_epoch(
     read. Raises NonFiniteError if the epoch leaves any parameter NaN or
     infinite (the learning rate diverged).
     """
-    if learner.is_oracle:
-        raise OracleUpdateError("the oracle never updates its parameters")
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     if n == 0:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_labels
 from .metrics import accuracy
-from .nn import Learner, ModelSpec, TrainHyperparams, init_learner, pseudolabels, train_epoch
+from .nn import Learner, ModelSpec, Oracle, TrainHyperparams, init_learner, pseudolabels, train_epoch
 
 ORACLE_SCORE = 1.0
 
@@ -23,9 +23,9 @@ _WARMUP_STREAM = 1
 
 @dataclass
 class Population:
-    """Learners with ids 0..N-1; the last one is the oracle."""
+    """Members with ids 0..N-1: learners, then the oracle last."""
 
-    learners: list[Learner]
+    learners: list[Learner | Oracle]
 
     def __post_init__(self):
         if [l.id for l in self.learners] != list(range(len(self.learners))):
@@ -39,7 +39,7 @@ class Population:
         return len(self.learners)
 
     @property
-    def oracle(self) -> Learner:
+    def oracle(self) -> Oracle:
         return self.learners[-1]
 
     @property
@@ -48,12 +48,11 @@ class Population:
 
 
 def init_population(spec: ModelSpec, n_models: int, oracle_labels: np.ndarray) -> Population:
-    """Fresh population: trainees 0..N-2 plus the oracle at id N-1."""
+    """Fresh population: trainees 0..N-2 plus the oracle at id N-1, holding the checked labels."""
     if n_models < 2:
         raise ValueError("population needs at least one trainee and the oracle")
-    learners = [init_learner(spec, i) for i in range(n_models - 1)]
-    learners.append(init_learner(spec, n_models - 1, held_labels=oracle_labels))
-    return Population(learners)
+    oracle = Oracle(n_models - 1, check_labels(oracle_labels, spec.n_classes))
+    return Population([init_learner(spec, i) for i in range(n_models - 1)] + [oracle])
 
 
 def evaluate_validation(pop: Population, val: Dataset) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Unit tests for data generation, splitting, corruption and IDX I/O."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from nkdiff import (
     corruption_indices,
     gen_blobs,
     init_learner,
+    init_population,
     load_idx,
     loss_and_gradient,
     pseudolabels,
@@ -45,6 +48,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="validation features hold NaN or infinite values"):
             Dataset(X=X, y=np.array([0, 1, 0]), K=2, split="validation")
 
+    @pytest.mark.parametrize(
+        "field, value", [("X", np.full((1, 2), np.nan)), ("y", np.array([7, -1, 0])), ("K", 1), ("split", "test")]
+    )
+    def test_fields_cannot_be_reassigned(self, field, value):
+        ds = Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 0]), K=2)
+        with pytest.raises(FrozenInstanceError):
+            setattr(ds, field, value)
+
 
 LABEL_X = np.random.default_rng(0).standard_normal((4, 3))
 LABEL_SPEC = ModelSpec(layer_widths=(3, 5, 3), seed=2)
@@ -70,7 +81,7 @@ LABEL_ENTRY_POINTS = {
     "write_idx": _write_idx_labels,
     "train_epoch": _train_epoch,
     "loss_and_gradient": lambda tmp_path, y: loss_and_gradient(LABEL_SPEC, init_learner(LABEL_SPEC, 0).params, LABEL_X, y),
-    "oracle": lambda tmp_path, y: pseudolabels(init_learner(LABEL_SPEC, 9, held_labels=y), LABEL_X),
+    "oracle": lambda tmp_path, y: pseudolabels(init_population(LABEL_SPEC, 2, y).oracle, LABEL_X),
 }
 GOOD_LABELS = np.array([0, 2, 1, 2], dtype=np.int64)
 # 10 lies outside [0, K) for both K=3 and K=10.

@@ -65,15 +65,6 @@ class TestRunSession:
         run_session(teacher, learner, train.X, TrainHyperparams(0.1, 16), pseudolabels(teacher, train.X), rng)
         assert np.array_equal(teacher.params, snapshot)
 
-    def test_oracle_learner_is_noop(self, task):
-        train, _, _ = task
-        pop = make_population(train, n_models=4)
-        snapshot = pop.oracle.params.copy()
-        rng = warmup_stream(pop.oracle.spec, pop.oracle.id)
-        stats = run_session(pop.learners[0], pop.oracle, train.X, TrainHyperparams(0.1, 16), train.y, rng)
-        assert stats is None
-        assert np.array_equal(pop.oracle.params, snapshot)
-
     def test_self_teaching_rejected(self, task):
         train, _, _ = task
         pop = make_population(train, n_models=4)
@@ -157,7 +148,7 @@ class TestRunRoundAccounting:
         # reversed learner order must give identical parameters
         plan_rev = RoundPlan(groups=[(3, (2, 1, 0))], policy_tag="oo")
         run_round(pop_b, plan_rev, train, hp, ResourceLedger(), capacity=4, master_seed=5, round_index=1)
-        for a, b in zip(pop_a.learners, pop_b.learners):
+        for a, b in zip(pop_a.trainees, pop_b.trainees):
             assert np.array_equal(a.params, b.params)
 
     def test_mutual_teaching_uses_pre_round_labels(self, task):
@@ -173,7 +164,7 @@ class TestRunRoundAccounting:
         pop_b = make_population(train, seed=4)
         run_round(pop_a, plan, train, hp, ResourceLedger(), capacity=2, master_seed=9, round_index=1)
         run_round(pop_b, reversed_plan, train, hp, ResourceLedger(), capacity=2, master_seed=9, round_index=1)
-        for a, b in zip(pop_a.learners, pop_b.learners):
+        for a, b in zip(pop_a.trainees, pop_b.trainees):
             assert np.array_equal(a.params, b.params)
 
 
@@ -196,7 +187,7 @@ class TestSessionOrder:
         assert len(plan.groups) == 2 and all(len(ls) == 4 for _, ls in plan.groups)
         for pop, order in ((pop_a, plan), (pop_b, reversed_plan(plan))):
             run_round(pop, order, train, hp, ResourceLedger(), capacity=5, master_seed=3, round_index=1)
-        for a, b in zip(pop_a.learners, pop_b.learners):
+        for a, b in zip(pop_a.trainees, pop_b.trainees):
             assert np.array_equal(a.params, b.params)
 
     @pytest.mark.parametrize("policy, capacity", [("btb", 2), ("eq", 5), ("pom", 2)])
@@ -312,15 +303,6 @@ class TestRunExperiment:
         train = task[0]
         assert records[0].oracle_sessions == 45 + 1
         assert records[0].forward_ops == (45 + 5) * len(train)
-
-    def test_oracle_params_invariant_end_to_end(self, task):
-        train, val, test = task
-        cfg = ExperimentConfig(policy="eq", rounds=3, pretrain=True, dataset=SMALL_BLOBS, master_seed=5)
-        spec = ModelSpec(layer_widths=(train.n_features, 16, train.K), seed=5)
-        expected_oracle = init_learner(spec, 9, held_labels=train.y)
-        run_experiment(cfg, data=task, threads=1)
-        fresh_oracle = init_learner(spec, 9, held_labels=train.y)
-        assert np.array_equal(expected_oracle.params, fresh_oracle.params)
 
     @pytest.mark.parametrize("pretrain, phase", [(False, "round 1"), (True, "warm-up")])
     def test_numeric_error_names_seed_and_phase(self, task, pretrain, phase):

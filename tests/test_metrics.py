@@ -52,12 +52,6 @@ class TestAccuracy:
         error_rate = int(np.sum(preds != blobs.y)) / len(blobs)
         assert acc + error_rate == 1.0
 
-    def test_oracle_rejected(self, blobs):
-        spec = ModelSpec(layer_widths=(4, 6, 3), seed=0)
-        pop = init_population(spec, 3, oracle_labels=blobs.y)
-        with pytest.raises(ValueError):
-            accuracy(pop.oracle, blobs)
-
     def test_empty_dataset_rejected(self, blobs):
         learner = make_learner()
         empty = blobs.take(np.array([], dtype=int), "test")

@@ -3,6 +3,7 @@
 import copy
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from nkdiff import (
     Dataset,
     ModelSpec,
     NonFiniteError,
-    OracleUpdateError,
+    Oracle,
     PROB_FLOOR,
     TrainHyperparams,
     forward_batch,
@@ -50,6 +51,24 @@ class TestModelSpec:
         expected = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
         assert param_count(spec) == expected
         assert init_learner(spec, 0).params.shape == (expected,)
+
+
+class TestTrainHyperparams:
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: TrainHyperparams(shuffle="no"), ValueError),
+            (lambda: TrainHyperparams(batch_size=2.5), ValueError),
+            (lambda: TrainHyperparams(batch_size=True), ValueError),
+            (lambda: setattr(TrainHyperparams(), "batch_size", 0), FrozenInstanceError),
+            (lambda: setattr(TrainHyperparams(), "shuffle", False), FrozenInstanceError),
+            (lambda: setattr(TrainHyperparams(), "learning_rate", 1.0), FrozenInstanceError),
+        ],
+        ids=["shuffle_text", "fractional_batch", "bool_batch", "set_batch", "set_shuffle", "set_rate"],
+    )
+    def test_no_value_runs_a_different_experiment(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestInitLearner:
@@ -244,16 +263,17 @@ class TestForwardMemo:
 
 
 class TestPseudolabels:
-    def test_oracle_returns_held_labels(self, small_spec, small_blobs):
-        oracle = init_learner(small_spec, 9, held_labels=small_blobs.y)
+    def test_oracle_returns_held_labels(self, small_blobs):
+        oracle = Oracle(9, small_blobs.y)
         got = pseudolabels(oracle, small_blobs.X)
         assert np.array_equal(got, small_blobs.y)
+        assert got.flags.writeable and not np.shares_memory(got, oracle.labels)
         got[0] = (got[0] + 1) % 3  # caller owns the copy
-        assert np.array_equal(oracle.held_labels, small_blobs.y)
+        assert np.array_equal(oracle.labels, small_blobs.y)
 
-    def test_oracle_row_count_mismatch(self, small_spec, small_blobs):
-        oracle = init_learner(small_spec, 9, held_labels=small_blobs.y[:10])
-        with pytest.raises(ValueError):
+    def test_oracle_row_count_mismatch(self, small_blobs):
+        oracle = Oracle(9, small_blobs.y[:10])
+        with pytest.raises(ValueError, match=f"{len(small_blobs)} rows but the oracle holds 10 labels"):
             pseudolabels(oracle, small_blobs.X)
 
     def test_zero_param_teacher_says_class_zero(self, zero_learner, small_blobs):
@@ -299,11 +319,6 @@ class TestTrainEpoch:
         # The shuffle comes from the stream passed in, not from the learner.
         train_epoch(other, small_blobs.X, small_blobs.y, hp, np.random.default_rng(6))
         assert not np.array_equal(learner.params, other.params)
-
-    def test_oracle_refuses_training(self, small_spec, small_blobs, hp):
-        oracle = init_learner(small_spec, 9, held_labels=small_blobs.y)
-        with pytest.raises(OracleUpdateError):
-            train_epoch(oracle, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 9))
 
     def test_batch_size_cannot_exceed_n(self, small_spec, small_blobs):
         learner = init_learner(small_spec, 0)

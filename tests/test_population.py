@@ -1,11 +1,15 @@
 """Unit tests for population ownership, validation ranking, and warm-up."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nkdiff import (
+    Learner,
     ModelSpec,
+    Oracle,
     Population,
     TrainHyperparams,
     evaluate_validation,
@@ -40,7 +44,23 @@ class TestInitPopulation:
         assert pop.oracle.id == 4
         assert [l.id for l in pop.trainees] == [0, 1, 2, 3]
         assert pop.oracle.is_oracle
-        assert np.array_equal(pop.oracle.held_labels, train.y)
+        assert np.array_equal(pop.oracle.labels, train.y)
+
+    def test_oracle_holds_a_read_only_copy_of_its_labels(self, blob_task):
+        train, _ = blob_task
+        y = np.array(train.y)
+        spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
+        oracle = init_population(spec, 4, oracle_labels=y).oracle
+        y[0] = (y[0] + 1) % 3
+        assert np.array_equal(oracle.labels, train.y)
+        assert not oracle.labels.flags.writeable
+        with pytest.raises(ValueError):
+            oracle.labels[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            oracle.labels = y
+
+    def test_is_oracle_is_a_class_constant(self):
+        assert Oracle.is_oracle is True and Learner.is_oracle is False
 
     def test_too_small(self, blob_task):
         train, _ = blob_task
@@ -50,10 +70,10 @@ class TestInitPopulation:
     def test_oracle_must_be_the_last_learner(self, blob_task):
         train, _ = blob_task
         spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
-        learners = [init_learner(spec, 0, held_labels=train.y), init_learner(spec, 1)]
+        learners = [Oracle(0, train.y), init_learner(spec, 1)]
         with pytest.raises(ValueError, match="the last learner"):
             Population(learners)
-        learners.append(init_learner(spec, 2, held_labels=train.y))
+        learners.append(Oracle(2, train.y))
         with pytest.raises(ValueError, match="the last learner"):
             Population(learners)
         with pytest.raises(ValueError, match="the last learner"):
@@ -62,7 +82,7 @@ class TestInitPopulation:
     def test_the_learner_holding_labels_is_the_oracle(self, blob_task):
         train, _ = blob_task
         spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
-        oracle = init_learner(spec, 9, held_labels=train.y)
+        oracle = Oracle(9, train.y)
         pop = Population([init_learner(spec, i) for i in range(9)] + [oracle])
         assert pop.oracle is oracle and oracle.is_oracle
         assert not any(learner.is_oracle for learner in pop.trainees)
@@ -98,9 +118,9 @@ class TestEvaluateValidation:
     def test_read_only_on_population(self, blob_task):
         train, val = blob_task
         pop = make_population(train)
-        before = [l.params.copy() for l in pop.learners]
+        before = [l.params.copy() for l in pop.trainees]
         evaluate_validation(pop, val)
-        for learner, snapshot in zip(pop.learners, before):
+        for learner, snapshot in zip(pop.trainees, before):
             assert np.array_equal(learner.params, snapshot)
 
 
@@ -144,16 +164,8 @@ class TestPretrain:
         pop_b = make_population(train, n_models=6, seed=3)
         pretrain_population(pop_a, train, hp)
         pretrain_population(pop_b, train, hp)
-        for a, b in zip(pop_a.learners, pop_b.learners):
+        for a, b in zip(pop_a.trainees, pop_b.trainees):
             assert np.array_equal(a.params, b.params)
-
-    def test_oracle_params_untouched(self, blob_task):
-        train, val = blob_task
-        pop = make_population(train, n_models=6)
-        snapshot = pop.oracle.params.copy()
-        pretrain_population(pop, train, TrainHyperparams(0.05, 16))
-        evaluate_validation(pop, val)
-        assert np.array_equal(pop.oracle.params, snapshot)
 
     def test_trainees_actually_learn_in_id_order(self, blob_task):
         # more epochs should not leave the strongest trainee at init

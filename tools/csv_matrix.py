@@ -3,13 +3,24 @@
 Usage, from the root of a source checkout::
 
     python3 tools/csv_matrix.py OUT > digests.txt
+    python3 tools/csv_matrix.py OUT --check tools/csv_matrix.sha256
 
 OUT must not exist yet. The script imports nkdiff from ``src/`` of the
 checkout it sits in, writes a small IDX task into ``OUT/idx_data``, runs 34
 ``nkdiff run`` commands and three ``nkdiff sweep`` commands into OUT and prints
+a ``#`` header naming the Python and numpy versions and numpy's BLAS, then
 one ``sha256  path`` line per CSV written (159 in all), with paths relative
-to OUT, sorted. To check that a change leaves every output float as it was,
-run it on two checkouts and ``diff`` the two listings. The grid:
+to OUT, sorted.
+
+``tools/csv_matrix.sha256`` is that listing, committed: the digests every
+output float must keep. With ``--check FILE`` the script prints nothing of
+the listing; it compares the digests with FILE's (``#`` lines are ignored),
+prints each path whose digest differs, is missing or is new, and exits 1 if
+there is any. The digests depend on the numpy and BLAS build, so when
+FILE's header differs from this environment's, the script says so on
+stderr; compare two checkouts on one machine with ``diff`` instead. A
+change that moves output floats on purpose regenerates the file with the
+first command above. The grid:
 
 - a default ``nkdiff run`` (``btb``, C=2, 10 rounds, 5 seeds);
 - the three configs of acceptance criterion 3 (``btb`` and ``pom`` at C=2,
@@ -49,6 +60,7 @@ import hashlib
 import io
 import itertools
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -132,10 +144,44 @@ def grid(idx: dict) -> list[tuple[str, dict]]:
     return runs
 
 
+def environment() -> list[str]:
+    """The ``#`` header lines naming what the digests depend on: Python, numpy and numpy's BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']} ({blas.get('openblas configuration', 'no configuration')})"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return [f"# python {platform.python_version()}, numpy {np.__version__}", f"# blas {blas}"]
+
+
+def by_path(lines) -> dict[str, str]:
+    """``sha256  path`` lines as a path -> digest mapping."""
+    return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+
+def check(listing: list[str], path: Path) -> int:
+    """Compare ``sha256  path`` lines with the file at ``path``; print every difference, return 1 if any."""
+    lines = path.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    if header != environment():
+        print(f"note: {path} was recorded under\n  " + "\n  ".join(header)
+              + "\nand this is\n  " + "\n  ".join(environment()), file=sys.stderr)
+    expected = by_path(line for line in lines if line and not line.startswith("#"))
+    found = by_path(listing)
+    problems = [f"differs: {name}" for name in sorted(expected.keys() & found.keys()) if expected[name] != found[name]]
+    problems += [f"missing: {name}" for name in sorted(expected.keys() - found.keys())]
+    problems += [f"new: {name}" for name in sorted(found.keys() - expected.keys())]
+    print("\n".join(problems) or f"all {len(found)} digests match {path}")
+    return 1 if problems else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="output directory; must not exist")
+    parser.add_argument("--check", type=Path, metavar="FILE", help="compare the digests with a listing instead of printing it")
     args = parser.parse_args(argv)
+    if args.check is not None and not args.check.is_file():
+        parser.error(f"{args.check} is not a file")
     if args.out.exists():
         parser.error(f"{args.out} already exists")
     args.out.mkdir(parents=True)
@@ -148,9 +194,11 @@ def main(argv: list[str] | None = None) -> int:
         if code != 0:
             print(f"{command} {name} exited {code}", file=sys.stderr)
             return 1
-    for csv in sorted(args.out.rglob("*.csv")):
-        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-        print(f"{digest}  {csv.relative_to(args.out)}")
+    listing = [f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {csv.relative_to(args.out)}"
+               for csv in sorted(args.out.rglob("*.csv"))]
+    if args.check is not None:
+        return check(listing, args.check)
+    print("\n".join(environment() + listing))
     return 0
 
 
