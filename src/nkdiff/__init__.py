@@ -2,6 +2,7 @@
 classifiers trained under a teaching-capacity budget."""
 
 from .data import (
+    STREAMS,
     BlobsSpec,
     CorruptionSpec,
     Dataset,
@@ -17,17 +18,16 @@ from .data import (
     gen_blobs,
     load_idx,
     split_dataset,
+    stream,
     write_idx,
 )
 from .engine import (
     ExperimentConfig,
     ResourceLedger,
-    policy_stream,
     prepare_data,
     run_experiment,
     run_round,
     run_session,
-    session_stream,
 )
 from .metrics import (
     AggregateSeries,

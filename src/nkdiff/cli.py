@@ -98,8 +98,8 @@ def load_config_file(path: str) -> dict:
 
 
 def merge_config(base: dict, *layers: dict) -> dict:
-    """Later layers win; nested dataset/hyperparam dicts merge key-wise. A None
-    leaves a known key as it was, and an unknown key keeps it for check_config."""
+    """Later layers win; the nested ``blobs`` and ``idx`` sections merge key-wise.
+    A None leaves a known key as it was, and an unknown key keeps it for check_config."""
     merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
     for layer in layers:
         for key, value in layer.items():
@@ -156,6 +156,8 @@ def check_config(config: dict, sweep: bool) -> None:
     # None marks an unset key: merge_config sets one from a layer only for an unknown key.
     given = {k: v for k, v in config.items() if k not in SWEEP_AXES and (v is not None or k not in SCHEMA)}
     _check(given, {key: kind for key, (kind, _) in SCHEMA.items()}, "")
+    if config["idx"] is not None and config["dataset"] != "idx":
+        raise ConfigurationError(f"an idx section is read only with dataset 'idx', not {config['dataset']!r}")
     # Policy names are case-insensitive; the manifest and its hash see one spelling.
     config["policy"] = config["policy"].lower()
     for axis in axes:

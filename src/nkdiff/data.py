@@ -19,6 +19,17 @@ IDX_CLASSES = 10
 
 CORRUPTION_MODES = ("uniform_replace", "full_random")
 
+# Every named random stream and its tag: stream(name, seed, *key) keys its
+# generator by (seed, tag, *key), so two names never replay each other.
+# gen_blobs and _split are not named streams: they draw from a plain
+# default_rng(seed).
+STREAMS = {"params": 0, "warmup": 1, "session": 2, "policy": 3, "select": 10, "replace": 11, "redraw": 12}
+
+
+def stream(name: str, seed: int, *key: int) -> np.random.Generator:
+    """The generator of the named stream ``name`` keyed by ``seed`` and ``key``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, STREAMS[name], *key)))
+
 
 class IdxFormatError(ValueError):
     """Base class for IDX parse failures."""
@@ -166,20 +177,12 @@ def split_dataset(
     return tuple(_split(ds, seed, train=n_train, validation=n_val, test=n - n_train - n_val))
 
 
-# Corruption streams are namespaced so a corruption seed never replays the
-# stream of a dataset generated from the same integer.
-_SELECT_STREAM = 10
-_REPLACE_STREAM = 11
-_REDRAW_STREAM = 12
-
-
 def corruption_indices(n: int, fraction: float, seed: int) -> np.ndarray:
     """The exact floor(fraction * n) row indices selected for replacement."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     m = int(np.floor(fraction * n))
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SELECT_STREAM)))
-    return rng.choice(n, size=m, replace=False)
+    return stream("select", seed).choice(n, size=m, replace=False)
 
 
 def corrupt_labels(y: np.ndarray, spec: CorruptionSpec, K: int) -> np.ndarray:
@@ -191,12 +194,10 @@ def corrupt_labels(y: np.ndarray, spec: CorruptionSpec, K: int) -> np.ndarray:
     """
     y = check_labels(y, K)
     if spec.mode == "full_random":
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _REDRAW_STREAM)))
-        return rng.integers(0, K, size=len(y), dtype=np.int64)
+        return stream("redraw", spec.seed).integers(0, K, size=len(y), dtype=np.int64)
     idx = corruption_indices(len(y), spec.fraction, spec.seed)
     out = y.copy()
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _REPLACE_STREAM)))
-    out[idx] = rng.integers(0, K, size=len(idx), dtype=np.int64)
+    out[idx] = stream("replace", spec.seed).integers(0, K, size=len(idx), dtype=np.int64)
     return out
 
 

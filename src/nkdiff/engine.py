@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BlobsSpec, CorruptionSpec, Dataset, IdxSpec, build_datasets, corrupt_labels
+from .data import BlobsSpec, CorruptionSpec, Dataset, IdxSpec, build_datasets, corrupt_labels, stream
 from .metrics import MetricsRecord, accuracy, average_learner_accuracy
 from .nn import (
     Learner,
@@ -30,6 +30,7 @@ from .nn import (
     NonFiniteError,
     Oracle,
     TrainHyperparams,
+    _is_int,
     forward_stack,
     pseudolabels,
     train_epoch,
@@ -52,9 +53,6 @@ from .population import (
     pretrain_population,
     rank_models,
 )
-
-_SESSION_STREAM = 2
-_POLICY_STREAM = 3
 
 
 @dataclass
@@ -86,6 +84,15 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.policy, str):
+            raise ConfigurationError(f"policy must be a string, got {self.policy!r}")
+        for name in ("n_models", "capacity", "rounds", "master_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.pretrain, bool):
+            raise ConfigurationError(f"pretrain must be True or False, got {self.pretrain!r}")
+        if not isinstance(self.hidden_widths, (tuple, list)) or not all(_is_int(w) for w in self.hidden_widths):
+            raise ConfigurationError(f"hidden_widths must be a sequence of integers, got {self.hidden_widths!r}")
         check_policy(self.policy, self.capacity, self.n_models)
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
@@ -95,20 +102,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"hidden widths must be positive, got {list(self.hidden_widths)}")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative")
-
-
-def session_stream(master_seed: int, round_index: int, learner_id: int) -> np.random.Generator:
-    """The shuffle stream used by the session of one learner in one round."""
-    return np.random.default_rng(
-        np.random.SeedSequence((master_seed, _SESSION_STREAM, round_index, learner_id))
-    )
-
-
-def policy_stream(master_seed: int, round_index: int) -> np.random.Generator:
-    """The randomness a stochastic policy consumes in one round."""
-    return np.random.default_rng(
-        np.random.SeedSequence((master_seed, _POLICY_STREAM, round_index))
-    )
 
 
 def run_session(
@@ -158,7 +151,7 @@ def run_round(
     label_cache = {tid: pseudolabels(teacher, train.X) for tid, teacher in teachers.items()}
 
     for teacher, learner in sessions:
-        rng = session_stream(master_seed, round_index, learner.id)
+        rng = stream("session", master_seed, round_index, learner.id)
         run_session(teacher, learner, train.X, hp, label_cache[teacher.id], rng)
 
     ledger.oracle_sessions += sum(1 for teacher, _ in sessions if teacher.is_oracle)
@@ -166,7 +159,7 @@ def run_round(
 
 
 def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index: int) -> RoundPlan:
-    rng = policy_stream(cfg.master_seed, round_index)
+    rng = stream("policy", cfg.master_seed, round_index)
     if cfg.policy == "oo":
         return group_oo(cfg.n_models, cfg.capacity, rng)
     if cfg.policy == "pom":

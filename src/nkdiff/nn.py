@@ -9,20 +9,21 @@ is plain mini-batch SGD on cross-entropy with analytic backprop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import check_labels
+from .data import check_labels, stream
 
 # Positivity floor applied to output distributions; keeps log-domain
 # ensemble voting defined when a softmax underflows to 0.
 PROB_FLOOR = 1e-12
 
-# Sub-stream tag of parameter draws; population.py and engine.py key the
-# shuffle streams with other tags, so no two streams collide.
-_PARAMS_STREAM = 0
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class NonFiniteError(ArithmeticError):
@@ -42,6 +43,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(_is_int(w) for w in self.layer_widths):
+            raise ValueError(f"layer widths must be integers, got {tuple(self.layer_widths)}")
         widths = tuple(int(w) for w in self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:
@@ -82,9 +85,9 @@ class TrainHyperparams:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be a non-negative real")
-        if isinstance(self.batch_size, bool) or not isinstance(self.batch_size, Integral) or self.batch_size < 1:
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, Real) or not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate must be a non-negative real, got {self.learning_rate!r}")
+        if not _is_int(self.batch_size) or self.batch_size < 1:
             raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not isinstance(self.shuffle, bool):
             raise ValueError(f"shuffle must be True or False, got {self.shuffle!r}")
@@ -149,7 +152,7 @@ def init_learner(spec: ModelSpec, id: int) -> Learner:
     (spec.seed, learner id), so re-initialization is reproducible and
     distinct ids get distinct draws.
     """
-    init_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _PARAMS_STREAM, id)))
+    init_rng = stream("params", spec.seed, id)
     params = np.empty(param_count(spec), dtype=np.float64)
     views = unpack_params(spec, params)
     for w, b in views:

@@ -11,14 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_labels
+from .data import Dataset, check_labels, stream
 from .metrics import accuracy
 from .nn import Learner, ModelSpec, Oracle, TrainHyperparams, init_learner, pseudolabels, train_epoch
 
 ORACLE_SCORE = 1.0
-
-# Sub-stream tag of the warm-up shuffle streams, keyed (spec.seed, tag, id).
-_WARMUP_STREAM = 1
 
 
 @dataclass
@@ -83,7 +80,7 @@ def pretrain_population(pop: Population, train: Dataset, hp: TrainHyperparams) -
     labels = pseudolabels(pop.oracle, train.X)
     sessions = 0
     for learner in pop.trainees:
-        rng = np.random.default_rng(np.random.SeedSequence((learner.spec.seed, _WARMUP_STREAM, learner.id)))
+        rng = stream("warmup", learner.spec.seed, learner.id)
         for _ in range(learner.id + 1):
             train_epoch(learner, train.X, labels, hp, rng)
             sessions += 1

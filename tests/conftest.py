@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from nkdiff import Dataset, ModelSpec, TrainHyperparams, gen_blobs, init_learner
-from nkdiff.population import _WARMUP_STREAM
+from nkdiff import Dataset, ModelSpec, TrainHyperparams, gen_blobs, init_learner, stream
 
 
 @pytest.fixture
@@ -31,8 +30,8 @@ def balanced_dataset(K: int, per_class: int, d: int, seed: int = 0) -> Dataset:
 
 
 def warmup_stream(spec: ModelSpec, id: int) -> np.random.Generator:
-    """A fresh shuffle stream keyed (spec.seed, warm-up tag, id), as warm-up keys trainee id's."""
-    return np.random.default_rng(np.random.SeedSequence((spec.seed, _WARMUP_STREAM, id)))
+    """A fresh "warmup" stream keyed (spec.seed, id), as warm-up keys trainee id's."""
+    return stream("warmup", spec.seed, id)
 
 
 def zeroed(learner):

@@ -500,6 +500,7 @@ class TestSweep:
 
 
 INT_IDX_PATHS = {"train_images": 1, "train_labels": 2, "test_images": 3, "test_labels": 4}
+STR_IDX_PATHS = {key: f"{key}.idx" for key in INT_IDX_PATHS}
 
 
 class TestFlags:
@@ -618,6 +619,8 @@ class TestBadInputs:
             ("run", {"blobs": {"n_per_class": 10**20}}, "blobs.n_per_class"),
             ("run", {"rundos": None}, "unknown config keys: ['rundos']"),
             ("sweep", {"rundos": None}, "unknown config keys: ['rundos']"),
+            ("run", {"idx": STR_IDX_PATHS}, "idx section"),
+            ("sweep", {"idx": STR_IDX_PATHS, "policies": ["btb", "oo"]}, "idx section"),
         ],
         ids=[
             "blobs_n_per_class_float",
@@ -645,6 +648,8 @@ class TestBadInputs:
             "blobs_n_per_class_beyond_int64",
             "run_unknown_key_null",
             "sweep_unknown_key_null",
+            "run_idx_section_for_blobs",
+            "sweep_idx_section_for_blobs",
         ],
     )
     def test_exits_2_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys, command, bad, named):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nkdiff import (
+    STREAMS,
     CorruptionSpec,
     Dataset,
     IdxCountMismatchError,
@@ -25,11 +26,39 @@ from nkdiff import (
     loss_and_gradient,
     pseudolabels,
     split_dataset,
+    stream,
     train_epoch,
     write_idx,
 )
 
 from conftest import warmup_stream
+
+
+# The tag each named stream's draws, and so every output byte, depend on, with
+# a key of the shape its call site passes. Written out rather than read from
+# STREAMS, so an edit of the table that moves a draw fails here.
+PINNED_STREAMS = {
+    "params": (0, (3,)),
+    "warmup": (1, (3,)),
+    "session": (2, (4, 3)),
+    "policy": (3, (4,)),
+    "select": (10, ()),
+    "replace": (11, ()),
+    "redraw": (12, ()),
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    @pytest.mark.parametrize("seed", [0, 97, 2**40])
+    def test_each_named_stream_draws_from_its_pinned_tag(self, name, seed):
+        tag, key = PINNED_STREAMS[name]
+        expected = np.random.default_rng(np.random.SeedSequence((seed, tag, *key)))
+        assert np.array_equal(stream(name, seed, *key).integers(0, 2**62, 16), expected.integers(0, 2**62, 16))
+
+    def test_every_stream_is_pinned_and_no_two_tags_collide(self):
+        assert set(STREAMS) == set(PINNED_STREAMS)
+        assert len(set(STREAMS.values())) == len(STREAMS)
 
 
 class TestDataset:

@@ -25,7 +25,7 @@ from nkdiff import (
     run_experiment,
     run_round,
     run_session,
-    session_stream,
+    stream,
     train_epoch,
 )
 
@@ -218,6 +218,31 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(policy="btb", rounds=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("policy", 5),
+            ("n_models", True),
+            ("n_models", 10.0),
+            ("capacity", 2.0),
+            ("rounds", 2.5),
+            ("master_seed", 1.5),
+            ("master_seed", False),
+            ("pretrain", "no"),
+            ("pretrain", 1),
+            ("hidden_widths", (16.0,)),
+            ("hidden_widths", (True,)),
+            ("hidden_widths", 16),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(**{"policy": "btb", field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = ExperimentConfig(policy="btb", n_models=np.int64(10), capacity=np.int32(2), hidden_widths=(np.int64(8),))
+        assert cfg.n_models == 10
+
     def test_batch_size_checked_before_training(self):
         cfg = ExperimentConfig(
             policy="btb",
@@ -280,17 +305,17 @@ class TestRunExperiment:
         for i in range(9):
             learner = init_learner(spec, i)
             for t in range(1, 5):
-                train_epoch(learner, train.X, train.y, hp, session_stream(8, t, i))
+                train_epoch(learner, train.X, train.y, hp, stream("session", 8, t, i))
             final_params.append(learner.params)
 
         assert records[-1].oracle_sessions == 4 * 9
         # rerun engine to recover its population state
-        from nkdiff import group_oo, policy_stream
+        from nkdiff import group_oo
 
         engine_pop = init_population(spec, 10, oracle_labels=train.y)
         ledger = ResourceLedger()
         for t in range(1, 5):
-            plan = group_oo(10, 10, policy_stream(8, t))
+            plan = group_oo(10, 10, stream("policy", 8, t))
             run_round(engine_pop, plan, train, hp, ledger, capacity=10, master_seed=8, round_index=t)
         for i in range(9):
             assert np.array_equal(engine_pop.learners[i].params, final_params[i])

@@ -42,6 +42,15 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(layer_widths=(4, 1))
 
+    @pytest.mark.parametrize("widths", [(10.7, 16, 3), (10, 16.0, 3), (True, 16, 3), (10, 16, np.True_)])
+    def test_rejects_a_width_that_is_not_an_integer(self, widths):
+        with pytest.raises(ValueError, match="layer widths must be integers"):
+            ModelSpec(layer_widths=widths)
+
+    def test_numpy_integer_widths_become_ints(self):
+        widths = ModelSpec(layer_widths=(np.int64(10), 16, np.int32(3))).layer_widths
+        assert widths == (10, 16, 3) and all(type(w) is int for w in widths)
+
     def test_param_count_small(self):
         assert param_count(ModelSpec(layer_widths=(2, 3))) == 2 * 3 + 3
 
@@ -60,11 +69,14 @@ class TestTrainHyperparams:
             (lambda: TrainHyperparams(shuffle="no"), ValueError),
             (lambda: TrainHyperparams(batch_size=2.5), ValueError),
             (lambda: TrainHyperparams(batch_size=True), ValueError),
+            (lambda: TrainHyperparams(learning_rate=True), ValueError),
+            (lambda: TrainHyperparams(learning_rate="0.1"), ValueError),
             (lambda: setattr(TrainHyperparams(), "batch_size", 0), FrozenInstanceError),
             (lambda: setattr(TrainHyperparams(), "shuffle", False), FrozenInstanceError),
             (lambda: setattr(TrainHyperparams(), "learning_rate", 1.0), FrozenInstanceError),
         ],
-        ids=["shuffle_text", "fractional_batch", "bool_batch", "set_batch", "set_shuffle", "set_rate"],
+        ids=["shuffle_text", "fractional_batch", "bool_batch", "bool_rate", "text_rate", "set_batch", "set_shuffle",
+             "set_rate"],
     )
     def test_no_value_runs_a_different_experiment(self, build, error):
         with pytest.raises(error):
