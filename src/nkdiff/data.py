@@ -8,8 +8,10 @@ read-only in place, so evaluated outputs can be memoized against them.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,6 +31,26 @@ STREAMS = {"params": 0, "warmup": 1, "session": 2, "policy": 3, "select": 10, "r
 def stream(name: str, seed: int, *key: int) -> np.random.Generator:
     """The generator of the named stream ``name`` keyed by ``seed`` and ``key``."""
     return np.random.default_rng(np.random.SeedSequence((seed, STREAMS[name], *key)))
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy's included, and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_fields(spec, ints: tuple[str, ...] = (), reals: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming the first field of ``spec`` in ``ints`` that is
+    not an integer, or in ``reals`` that is not a real number."""
+    for names, fits, kind in ((ints, _is_int, "an integer"), (reals, _is_real, "a real number")):
+        for name in names:
+            value = getattr(spec, name)
+            if not fits(value):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class IdxFormatError(ValueError):
@@ -118,6 +140,7 @@ class CorruptionSpec:
     seed: int = 97
 
     def __post_init__(self):
+        _check_fields(self, ints=("seed",), reals=("fraction",))
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
         if self.mode not in CORRUPTION_MODES:
@@ -277,6 +300,13 @@ class BlobsSpec:
     train_frac: float = 0.6
     val_frac: float = 0.2
 
+    def __post_init__(self):
+        _check_fields(
+            self,
+            ints=("n_per_class", "k", "d", "seed"),
+            reals=("centers_scale", "noise_sigma", "train_frac", "val_frac"),
+        )
+
 
 @dataclass(frozen=True)
 class IdxSpec:
@@ -292,6 +322,12 @@ class IdxSpec:
     test_labels: str
     val_frac: float = 0.1
     seed: int = 7
+
+    def __post_init__(self):
+        for name in ("train_images", "train_labels", "test_images", "test_labels"):
+            if not isinstance(getattr(self, name), (str, os.PathLike)):
+                raise ValueError(f"{name} must be a file name, got {getattr(self, name)!r}")
+        _check_fields(self, ints=("seed",), reals=("val_frac",))
 
 
 def build_datasets(spec) -> tuple[Dataset, Dataset, Dataset]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BlobsSpec, CorruptionSpec, Dataset, IdxSpec, build_datasets, corrupt_labels, stream
+from .data import BlobsSpec, CorruptionSpec, Dataset, IdxSpec, _is_int, build_datasets, corrupt_labels, stream
 from .metrics import MetricsRecord, accuracy, average_learner_accuracy
 from .nn import (
     Learner,
@@ -30,7 +30,6 @@ from .nn import (
     NonFiniteError,
     Oracle,
     TrainHyperparams,
-    _is_int,
     forward_stack,
     pseudolabels,
     train_epoch,
@@ -93,6 +92,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"pretrain must be True or False, got {self.pretrain!r}")
         if not isinstance(self.hidden_widths, (tuple, list)) or not all(_is_int(w) for w in self.hidden_widths):
             raise ConfigurationError(f"hidden_widths must be a sequence of integers, got {self.hidden_widths!r}")
+        # A tuple, as ModelSpec stores its widths, so the frozen config hashes.
+        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         check_policy(self.policy, self.capacity, self.n_models)
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
@@ -159,17 +160,17 @@ def run_round(
 
 
 def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index: int) -> RoundPlan:
-    rng = stream("policy", cfg.master_seed, round_index)
+    # Only oo, pom and rgbt draw from the round's policy stream; btb and eq build none.
     if cfg.policy == "oo":
-        return group_oo(cfg.n_models, cfg.capacity, rng)
+        return group_oo(cfg.n_models, cfg.capacity, stream("policy", cfg.master_seed, round_index))
     if cfg.policy == "pom":
-        return group_pom(cfg.n_models, rng)
+        return group_pom(cfg.n_models, stream("policy", cfg.master_seed, round_index))
     # Computes only before round 1: later rounds find the trainees' validation
     # outputs in the memo, filled by the stacked pass after the previous round.
     forward_stack(pop.trainees, val.X)
     scores = evaluate_validation(pop, val)
     if cfg.policy == "rgbt":
-        return group_rgbt(scores, cfg.capacity, rng)
+        return group_rgbt(scores, cfg.capacity, stream("policy", cfg.master_seed, round_index))
     ranked = rank_models(scores)
     if cfg.policy == "btb":
         return group_btb(ranked, cfg.capacity)

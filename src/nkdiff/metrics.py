@@ -81,7 +81,7 @@ def accuracy(model_or_ensemble, ds: Dataset) -> float:
         preds = predict(model_or_ensemble, ds.X)
     else:
         preds = ensemble_predict(list(model_or_ensemble), ds.X)
-    return int(np.sum(preds == ds.y)) / len(ds)
+    return int(np.count_nonzero(preds == ds.y)) / len(ds)
 
 
 def average_learner_accuracy(pop, ds: Dataset) -> float:

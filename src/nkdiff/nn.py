@@ -9,21 +9,15 @@ is plain mini-batch SGD on cross-entropy with analytic backprop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import check_labels, stream
+from .data import _is_int, _is_real, check_labels, stream
 
 # Positivity floor applied to output distributions; keeps log-domain
 # ensemble voting defined when a softmax underflows to 0.
 PROB_FLOOR = 1e-12
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included, and not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class NonFiniteError(ArithmeticError):
@@ -53,8 +47,8 @@ class ModelSpec:
             raise ValueError(f"layer widths must be positive, got {widths}")
         if widths[-1] < 2:
             raise ValueError("output layer needs at least 2 classes")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # Per layer: (W start, b start, b end, W shape) in the flat vector.
         layout, start = [], 0
         for wi, wo in zip(widths[:-1], widths[1:]):
@@ -85,7 +79,7 @@ class TrainHyperparams:
     shuffle: bool = True
 
     def __post_init__(self):
-        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, Real) or not self.learning_rate >= 0:
+        if not _is_real(self.learning_rate) or not self.learning_rate >= 0:
             raise ValueError(f"learning_rate must be a non-negative real, got {self.learning_rate!r}")
         if not _is_int(self.batch_size) or self.batch_size < 1:
             raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
@@ -250,8 +244,11 @@ def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray
 
     A read-only X that owns its memory (a Dataset's X) is memoized per
     learner: a learner whose memo holds this X object, for the same spec
-    object and parameters equal by ``np.array_equal``, gets a copy of the
-    remembered output. The other learners are computed in one stacked pass.
+    object and the same parameter bytes, gets a copy of the remembered
+    output. The other learners are computed in one stacked pass. Bytes, not
+    values, key the memo: comparing them is an order of magnitude cheaper
+    than ``np.array_equal`` on a small vector, and a vector equal by value
+    but not by bits (a 0.0 turned -0.0) merely recomputes.
 
     Raises NonFiniteError naming the first computed learner, in list order,
     whose logits are NaN or infinite; its distributions would be scored as
@@ -264,15 +261,15 @@ def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray
     spec = learners[0].spec
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise ValueError(f"expected rows of width {spec.input_dim}, got shape {X.shape}")
-    if any(learner.spec.layer_widths != spec.layer_widths for learner in learners):
+    if any(learner.spec is not spec and learner.spec.layer_widths != spec.layer_widths for learner in learners):
         raise ValueError("stacked learners must share their layer widths")
     memoize = X.base is None and not X.flags.writeable
     stale = []
     for i, learner in enumerate(learners):
         if memoize:
-            memo = learner._memo
-            if memo.get("spec") is not learner.spec or not np.array_equal(memo["params"], learner.params):
-                learner._memo = {"spec": learner.spec, "params": learner.params.copy()}
+            memo, key = learner._memo, learner.params.tobytes()
+            if memo.get("spec") is not learner.spec or memo["params"] != key:
+                learner._memo = {"spec": learner.spec, "params": key}
             elif memo.get(id(X), (None,))[0] is X:
                 out[i] = memo[id(X)][1].copy()
                 continue
@@ -297,7 +294,7 @@ def forward_batch(learner: Learner, X: np.ndarray) -> np.ndarray:
 
 def predict(learner: Learner, X: np.ndarray) -> np.ndarray:
     """Hard argmax labels for every row of X (ties -> lowest class index)."""
-    return np.argmax(forward_batch(learner, X), axis=1)
+    return forward_batch(learner, X).argmax(axis=1)
 
 
 def pseudolabels(teacher: Learner | Oracle, X: np.ndarray) -> np.ndarray:

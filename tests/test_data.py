@@ -1,12 +1,14 @@
 """Unit tests for data generation, splitting, corruption and IDX I/O."""
 
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nkdiff import (
     STREAMS,
+    BlobsSpec,
     CorruptionSpec,
     Dataset,
     IdxCountMismatchError,
@@ -84,6 +86,40 @@ class TestDataset:
         ds = Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 0]), K=2)
         with pytest.raises(FrozenInstanceError):
             setattr(ds, field, value)
+
+
+IDX_NAMES = {"train_images": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"}
+# Each spec field with a value of the wrong type: every one is a ValueError
+# naming the field at construction, not a wrong experiment or a late TypeError.
+SPEC_TYPE_FAULTS = [
+    (CorruptionSpec, {"fraction": True}, "fraction"),
+    (CorruptionSpec, {"fraction": "0.5"}, "fraction"),
+    (CorruptionSpec, {"fraction": 0.5, "seed": 1.5}, "seed"),
+    (CorruptionSpec, {"fraction": 0.5, "seed": np.True_}, "seed"),
+    (BlobsSpec, {"n_per_class": 2.5}, "n_per_class"),
+    (BlobsSpec, {"k": True}, "k"),
+    (BlobsSpec, {"d": 4.0}, "d"),
+    (BlobsSpec, {"seed": "7"}, "seed"),
+    (BlobsSpec, {"centers_scale": False}, "centers_scale"),
+    (BlobsSpec, {"noise_sigma": "1.5"}, "noise_sigma"),
+    (BlobsSpec, {"train_frac": None}, "train_frac"),
+    (BlobsSpec, {"val_frac": True}, "val_frac"),
+    (IdxSpec, {**IDX_NAMES, "val_frac": "0.1"}, "val_frac"),
+    (IdxSpec, {**IDX_NAMES, "seed": 7.0}, "seed"),
+    (IdxSpec, {**IDX_NAMES, "test_labels": 3}, "test_labels"),
+]
+
+
+class TestSpecTypes:
+    @pytest.mark.parametrize("spec, kwargs, field", SPEC_TYPE_FAULTS)
+    def test_a_field_of_the_wrong_type_is_named(self, spec, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            spec(**kwargs)
+
+    def test_numpy_numbers_and_paths_are_accepted(self):
+        assert BlobsSpec(n_per_class=np.int64(5), k=np.int32(3), centers_scale=np.float32(2), noise_sigma=1).k == 3
+        assert CorruptionSpec(fraction=np.float64(0.5), seed=np.uint8(3)).seed == 3
+        assert IdxSpec(**{name: Path(f) for name, f in IDX_NAMES.items()}, val_frac=0, seed=np.int64(1)).seed == 1
 
 
 LABEL_X = np.random.default_rng(0).standard_normal((4, 3))

@@ -239,6 +239,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(**{"policy": "btb", field: value})
 
+    def test_hidden_widths_list_and_tuple_give_equal_hashable_configs(self):
+        listed = ExperimentConfig(policy="btb", hidden_widths=[16, np.int64(8)])
+        tupled = ExperimentConfig(policy="btb", hidden_widths=(16, 8))
+        assert listed.hidden_widths == (16, 8)
+        assert listed == tupled and hash(listed) == hash(tupled)
+
     def test_numpy_integers_are_integers(self):
         cfg = ExperimentConfig(policy="btb", n_models=np.int64(10), capacity=np.int32(2), hidden_widths=(np.int64(8),))
         assert cfg.n_models == 10
@@ -373,6 +379,21 @@ class TestRunExperiment:
         per_round = np.diff(round_starts + [computed[0]])
         assert len(per_round) == 5
         assert list(per_round[1:]) == [3 * n for n in sessions[1:]]
+
+    @pytest.mark.parametrize("policy", ["btb", "eq", "oo", "pom", "rgbt"])
+    def test_only_oo_pom_and_rgbt_draw_the_policy_stream(self, task, monkeypatch, policy):
+        drawn = []
+        real_stream = engine.stream
+
+        def recording_stream(name, *key):
+            drawn.append((name, *key))
+            return real_stream(name, *key)
+
+        monkeypatch.setattr(engine, "stream", recording_stream)
+        run_experiment(ExperimentConfig(policy=policy, rounds=3, dataset=SMALL_BLOBS, master_seed=5), data=task)
+        policy_draws = [key for key in drawn if key[0] == "policy"]
+        assert policy_draws == ([] if policy in ("btb", "eq") else [("policy", 5, t) for t in (1, 2, 3)])
+        assert any(key[0] == "session" for key in drawn)
 
 
 class TestCorruptionPlumbing:

@@ -47,6 +47,11 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="layer widths must be integers"):
             ModelSpec(layer_widths=widths)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None, -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ModelSpec(layer_widths=(4, 5, 3), seed=seed)
+
     def test_numpy_integer_widths_become_ints(self):
         widths = ModelSpec(layer_widths=(np.int64(10), 16, np.int32(3))).layer_widths
         assert widths == (10, 16, 3) and all(type(w) is int for w in widths)
@@ -71,12 +76,13 @@ class TestTrainHyperparams:
             (lambda: TrainHyperparams(batch_size=True), ValueError),
             (lambda: TrainHyperparams(learning_rate=True), ValueError),
             (lambda: TrainHyperparams(learning_rate="0.1"), ValueError),
+            (lambda: TrainHyperparams(learning_rate=np.True_), ValueError),
             (lambda: setattr(TrainHyperparams(), "batch_size", 0), FrozenInstanceError),
             (lambda: setattr(TrainHyperparams(), "shuffle", False), FrozenInstanceError),
             (lambda: setattr(TrainHyperparams(), "learning_rate", 1.0), FrozenInstanceError),
         ],
-        ids=["shuffle_text", "fractional_batch", "bool_batch", "bool_rate", "text_rate", "set_batch", "set_shuffle",
-             "set_rate"],
+        ids=["shuffle_text", "fractional_batch", "bool_batch", "bool_rate", "text_rate", "numpy_bool_rate", "set_batch",
+             "set_shuffle", "set_rate"],
     )
     def test_no_value_runs_a_different_experiment(self, build, error):
         with pytest.raises(error):
@@ -272,6 +278,15 @@ class TestForwardMemo:
             pseudolabels(learner, ds.X)
         assert len(count_forwards) == 1
         assert [k for k in learner._memo if k not in ("spec", "params")] == [id(ds.X)]
+
+    def test_a_sign_flipped_zero_recomputes(self, small_spec, small_blobs, count_forwards):
+        # The memo is keyed on parameter bytes: -0.0 equals 0.0 by value, not by bits.
+        learner = init_learner(small_spec, 0)
+        learner.params[0] = 0.0
+        forward_batch(learner, small_blobs.X)
+        learner.params[0] = -0.0
+        forward_batch(learner, small_blobs.X)
+        assert len(count_forwards) == 2
 
 
 class TestPseudolabels:

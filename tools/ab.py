@@ -12,8 +12,11 @@ last line each run prints, and stops with exit code 1 as soon as a run exits
 non-zero or reports ``"correct": false``. Then it prints, for each
 end-to-end metric in CHANGE_DIR's ``BENCHMARK.json``, the median and
 quartiles on each side, and in how many pairs the change was better (by the
-metric's ``better`` direction) and in how many exactly equal. It uses only
-the standard library and edits nothing in either tree.
+metric's ``better`` direction) and in how many exactly equal. After the
+table it says, for each metric, whether the change meets the claim rule:
+it won at least 9 of every 10 pairs (ties count for neither side), and its
+median is better than the parent's by more than the parent's Q3 - Q1. It
+uses only the standard library and edits nothing in either tree.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # Each run's timed seconds: the run length BENCHMARK.json sets.
 SECONDS = 35
+YES_NO = {True: "yes", False: "no"}
 
 
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
@@ -82,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     n = len(args.seeds)
     print(f"workload {args.workload}, {n} pairs, seeds {args.seeds}")
     print(f"{'metric':<22} {'parent q1/median/q3':>32} {'change q1/median/q3':>32}  change better  equal")
+    rule = []
     for m in metrics:
         name = m["name"]
         parent, change = values["parent"][name], values["change"][name]
@@ -90,6 +95,16 @@ def main(argv: list[str] | None = None) -> int:
         equal = sum(c == p for p, c in zip(parent, change))
         cells = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (parent, change)]
         print(f"{name:<22} {cells[0]:>32} {cells[1]:>32}  {better:>6}/{n:<6} {equal:>2}/{n}")
+        (q1, median, q3), change_median = quartiles(parent), quartiles(change)[1]
+        gap = change_median - median if sign > 0 else median - change_median
+        rule.append((name, better, gap, q3 - q1))
+    print("claim rule: the change wins at least 9/10 of the pairs, and its median is better")
+    print("than the parent's by more than the parent's Q3 - Q1")
+    print(f"{'metric':<22} {'pairs won':>13} {'median gap':>12} {'parent IQR':>12} {'gap > IQR':>10}  met")
+    for name, better, gap, iqr in rule:
+        won, beyond = 10 * better >= 9 * n, gap > iqr
+        print(f"{name:<22} {better:>6}/{n:<3} {YES_NO[won]:>3} {gap:>12.4g} {iqr:>12.4g} {YES_NO[beyond]:>10}  "
+              f"{YES_NO[won and beyond]}")
     return 0
 
 
