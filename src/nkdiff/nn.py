@@ -8,6 +8,7 @@ is plain mini-batch SGD on cross-entropy with analytic backprop.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -30,7 +31,8 @@ class ModelSpec:
 
     ``layer_widths`` is (input dim, hidden dims..., class count). ``seed``
     keys parameter initialization: identical (spec, learner id) pairs yield
-    bit-identical parameter vectors.
+    bit-identical parameter vectors. Besides its fields a spec holds only
+    its derived flat-vector layout; no function keeps state on it.
     """
 
     layer_widths: tuple[int, ...]
@@ -56,12 +58,6 @@ class ModelSpec:
             start += wi * wo + wo
         object.__setattr__(self, "_layout", tuple(layout))
         object.__setattr__(self, "_n_params", start)
-        # (params, out, their layer views) last remembered by loss_and_gradient.
-        object.__setattr__(self, "_views", (None, None, None, None))
-
-    def __getstate__(self):
-        # Copies start without the view memo: its views alias this spec's arrays.
-        return {**self.__dict__, "_views": (None, None, None, None)}
 
     @property
     def input_dim(self) -> int:
@@ -156,35 +152,20 @@ def init_learner(spec: ModelSpec, id: int) -> Learner:
     return Learner(id=id, spec=spec, params=params)
 
 
-def _activations(
-    layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray, product=np.dot
-) -> list[np.ndarray]:
-    """Forward pass: [X, hidden activations..., logits], all but X fresh arrays.
+def _logits(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray) -> np.ndarray:
+    """Forward pass of learners stacked over L: logits of shape (L, n, K).
 
-    ReLU runs in place: backprop needs only where z > 0, and relu(z) > 0 there.
-    Training passes one learner's 2-D layers and ``np.dot``: the same gemm as
-    ``@`` with less dispatch. Evaluation passes layers stacked over learners,
-    (L, w_in, w_out) weights and (L, 1, w_out) biases, and ``np.matmul``,
-    which makes that same gemm call once per learner.
+    ``layers`` holds (L, w_in, w_out) weights and (L, 1, w_out) biases;
+    ``np.matmul`` makes one gemm call per learner. ReLU runs in place.
     """
-    acts = [X]
+    a = X
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        a = product(acts[-1], w)
+        a = np.matmul(a, w)
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
-        acts.append(a)
-    return acts
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """Row maxima of a 2-D array as an (n, 1) column.
-
-    Reduces a contiguous transposed copy along its first axis, which numpy
-    vectorizes across rows; a max is exact, so the order does not matter.
-    """
-    return np.maximum.reduce(a.T.copy(), axis=0)[:, None]
+    return a
 
 
 def _class_sum(p: np.ndarray) -> np.ndarray:
@@ -215,7 +196,7 @@ def _distributions(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
     ]
     # Overflow is reported once, by the NonFiniteError below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = _activations(layers, X, np.matmul)[-1]
+        logits = _logits(layers, X)
         # Copied first: the transposed view alone reshapes to rows of stride K,
         # and the reductions over axis 0 below would then run column by column.
         p = logits.transpose(2, 0, 1).copy().reshape(spec.n_classes, -1)
@@ -232,6 +213,12 @@ def _distributions(learners: Sequence[Learner], X: np.ndarray) -> np.ndarray:
         # the final clamp restores it while moving the row sum by < K*floor.
         np.maximum(p, PROB_FLOOR, out=p)
     return p.reshape(len(p), len(learners), n).transpose(1, 2, 0).copy()
+
+
+def _check_rows(X: np.ndarray, width: int) -> None:
+    """Raise ValueError unless X is a matrix of rows of ``width`` features."""
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"expected rows of width {width}, got shape {X.shape}")
 
 
 def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray]:
@@ -259,8 +246,7 @@ def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray
     if not learners:
         return out
     spec = learners[0].spec
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise ValueError(f"expected rows of width {spec.input_dim}, got shape {X.shape}")
+    _check_rows(X, spec.input_dim)
     if any(learner.spec is not spec and learner.spec.layer_widths != spec.layer_widths for learner in learners):
         raise ValueError("stacked learners must share their layer widths")
     memoize = X.base is None and not X.flags.writeable
@@ -313,6 +299,61 @@ def pseudolabels(teacher: Learner | Oracle, X: np.ndarray) -> np.ndarray:
     return predict(teacher, X)
 
 
+class _Step:
+    """One SGD step over ``n`` rows of one layer layout: its buffers and views.
+
+    Every intermediate has its own exactly sized buffer. ``bind`` points the
+    step at one spec's (params, out) pair: the (W, b) views of each layer,
+    their gradient views in ``out`` and the transposed weights.
+    """
+
+    def __init__(self, widths: tuple[int, ...], n: int):
+        K = widths[-1]
+        self.n = n
+        # The divisor as a float64 scalar: numpy divides by it with less dispatch than by an int.
+        self.rows = np.float64(n)
+        self.hidden = [np.empty((n, w)) for w in widths[1:-1]]
+        self.logits = np.empty((n, K))
+        self.flat = self.logits.reshape(-1)
+        self.class_major = np.empty((K, n))
+        self.row_max = np.empty(n)
+        self.row_max_column = self.row_max[:, None]
+        self.exp = np.empty((n, K))
+        self.sums = np.empty((n, 1))
+        self.offsets = np.arange(0, n * K, K)
+        self.picks = np.empty(n, dtype=np.int64)
+        self.deltas = [np.empty((n, w)) for w in widths[1:-1]]
+        self.signs = [np.empty((n, w)) for w in widths[1:-1]]
+
+    def bind(self, spec: ModelSpec, params: np.ndarray, out: np.ndarray) -> None:
+        layers, grads = unpack_params(spec, params), unpack_params(spec, out)
+        self.spec, self.params, self.out, self.layers, self.grads = spec, params, out, layers, grads
+        self.forward = [(w, b, z) for (w, b), z in zip(layers, self.hidden)]
+        self.head = layers[-1]
+        # Layers L-1 down to 1: their input activations (transposed for the
+        # weight gradient), gradient views, transposed weights, and the delta
+        # and ReLU-sign buffers of the layer below. Layer 0's input is X.
+        self.backward = [
+            (self.hidden[i - 1].T, *grads[i], layers[i][0].T, self.deltas[i - 1], self.signs[i - 1], self.hidden[i - 1])
+            for i in range(len(layers) - 1, 0, -1)
+        ]
+        self.first = grads[0]
+
+
+class _Scratch(threading.local):
+    """One thread's SGD steps: ``steps`` by (layer widths, rows), and the ``last`` one run."""
+
+    def __init__(self):
+        self.steps: dict[tuple[tuple[int, ...], int], _Step] = {}
+        self.last: _Step | None = None
+
+
+_scratch = _Scratch()
+# Steps a thread keeps; past this it drops them all, so a caller cycling
+# through many batch sizes rebuilds buffers instead of growing without bound.
+_MAX_STEPS = 8
+
+
 def loss_and_gradient(
     spec: ModelSpec,
     params: np.ndarray,
@@ -329,22 +370,40 @@ def loss_and_gradient(
     ``params`` (ValueError otherwise); the gradient is written into it,
     overwriting every entry, and it is returned in place of a fresh array.
 
-    The spec keeps the layer views of the last C-contiguous (``params``,
-    ``out``) pair, so a loop that passes the same two arrays builds them once.
+    Every intermediate is written into a buffer sized for the batch. With
+    ``out`` and C-contiguous ``params``, the calling thread keeps those
+    buffers, one set per (layer widths, batch rows), and with each set the
+    layer views of the last (spec, params, out) it ran, so a loop that passes
+    the same arrays allocates nothing and reuses them across batches, epochs
+    and learners. Other calls use fresh buffers and a fresh gradient. Each
+    thread has its own buffers, so threads may train at once, even learners
+    of one spec, as long as no two of them pass the same ``params`` or ``out``.
 
-    ``labels`` are checked by ``check_labels`` (one per row of X, in [0, K))
-    whenever the views are built: on every call without ``out``, and on the
-    first call with a new pair, so once per ``train_epoch`` epoch (which
-    checks all of its labels itself). Later calls with a remembered pair
-    must pass an int64 vector, which is not checked.
+    ``X`` must be a matrix of at least one row of ``spec.input_dim`` columns,
+    and ``labels`` are checked by ``check_labels`` (one per row of X, in
+    [0, K)); both raise ValueError otherwise. They are checked whenever the
+    call is not the thread's last (spec, params, out, rows): on every call
+    without ``out``, and with it on the first call with a new pair or batch
+    size, so once per ``train_epoch`` epoch, twice if its last batch is short
+    (``train_epoch`` checks all of its rows and labels itself). Later calls
+    with a remembered pair must pass such an X and an int64 label vector,
+    which are not checked.
     """
     X = np.asarray(X, dtype=np.float64)
-    grad = np.empty_like(params) if out is None else out
-    memo = spec._views
-    if memo[0] is params and memo[1] is grad and params.shape == grad.shape == (spec._n_params,):
-        layers, grads = memo[2], memo[3]
-    else:
-        # A remembered out passed this check when it was remembered.
+    step = _scratch.last
+    if (
+        step is None
+        or out is not step.out
+        or params is not step.params
+        or spec is not step.spec
+        or len(X) != step.n
+        # An in-place reshape keeps the size, so a 1-D vector is still the right one.
+        or params.ndim != 1
+        or out.ndim != 1
+    ):
+        _check_rows(X, spec.input_dim)
+        if not len(X):
+            raise ValueError(f"a batch needs at least one row, got shape {X.shape}")
         if out is not None and not (
             out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous
         ):
@@ -353,33 +412,63 @@ def loss_and_gradient(
                 f"parameters, got {out.dtype} of shape {out.shape}"
             )
         labels = check_labels(labels, spec.n_classes, len(X))
-        layers, grads = unpack_params(spec, params), unpack_params(spec, grad)
-        if out is not None and params.flags.c_contiguous:
-            object.__setattr__(spec, "_views", (params, out, layers, grads))
-    acts = _activations(layers, X)
+        key = (spec.layer_widths, len(X))
+        if out is None or not params.flags.c_contiguous:
+            step = _Step(*key)
+            step.bind(spec, params, np.empty_like(params) if out is None else out)
+        else:
+            steps = _scratch.steps
+            step = steps.get(key)
+            if step is None:
+                if len(steps) >= _MAX_STEPS:
+                    steps.clear()
+                step = steps[key] = _Step(*key)
+            step.bind(spec, params, out)
+            _scratch.last = step
 
-    # Stable log-softmax, computed in place over the logits.
-    log_probs = acts.pop()
-    log_probs -= _row_max(log_probs)
-    log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
-    n, K = log_probs.shape
+    a = X
+    for w, b, z in step.forward:
+        np.dot(a, w, out=z)
+        z += b
+        # ReLU in place: backprop needs only where z > 0, and relu(z) > 0 there.
+        np.maximum(z, 0.0, out=z)
+        a = z
+    w, b = step.head
+    log_probs = step.logits
+    np.dot(a, w, out=log_probs)
+    log_probs += b
+
+    # Stable log-softmax, computed in place over the logits. The row maxima
+    # reduce a class-major copy along its first axis, which numpy vectorizes
+    # across rows; a max is exact, so the order does not matter.
+    step.class_major[...] = log_probs.T
+    np.maximum.reduce(step.class_major, axis=0, out=step.row_max)
+    log_probs -= step.row_max_column
+    np.exp(log_probs, out=step.exp)
+    np.add.reduce(step.exp, axis=1, keepdims=True, out=step.sums)
+    np.log(step.sums, out=step.sums)
+    log_probs -= step.sums
     # Each row's label as a flat position: 1-D take and subtract, not 2-D fancy indexing.
-    picks = np.arange(0, n * K, K) + labels
-    loss = float(-(np.add.reduce(log_probs.ravel().take(picks)) / n))
+    picks, flat = step.picks, step.flat
+    np.add(step.offsets, labels, out=picks)
+    loss = float(-(np.add.reduce(flat.take(picks)) / step.rows))
 
     delta = np.exp(log_probs, out=log_probs)
-    delta.ravel()[picks] -= 1.0
-    delta /= n
+    flat[picks] -= 1.0
+    delta /= step.rows
 
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[i]
-        np.dot(acts[i].T, delta, out=gw)
+    for a_t, gw, gb, w_t, below, sign, a in step.backward:
+        np.dot(a_t, delta, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
-        if i > 0:
-            delta = np.dot(delta, layers[i][0].T)
-            # Post-ReLU activations have sign exactly 0.0 or 1.0.
-            delta *= np.sign(acts[i])
-    return loss, grad
+        np.dot(delta, w_t, out=below)
+        # Post-ReLU activations have sign exactly 0.0 or 1.0.
+        np.sign(a, out=sign)
+        below *= sign
+        delta = below
+    gw, gb = step.first
+    np.dot(X.T, delta, out=gw)
+    np.add.reduce(delta, axis=0, out=gb)
+    return loss, step.out
 
 
 def train_epoch(
@@ -393,6 +482,7 @@ def train_epoch(
     infinite (the learning rate diverged).
     """
     X = np.asarray(X, dtype=np.float64)
+    _check_rows(X, learner.spec.input_dim)
     n = len(X)
     if n == 0:
         raise ValueError("training set is empty")
@@ -405,6 +495,8 @@ def train_epoch(
     # epoch would cost a full-size buffer on wide inputs.
     labels = labels[order]
     grad = np.empty_like(learner.params)
+    # A float64 scalar: numpy multiplies by it with less dispatch than by a Python float.
+    rate = np.float64(hp.learning_rate)
     total = 0.0
     # Divergence is reported once, by the check below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -414,7 +506,7 @@ def train_epoch(
             loss, _ = loss_and_gradient(
                 learner.spec, learner.params, batch, labels[start:stop], out=grad
             )
-            grad *= hp.learning_rate
+            grad *= rate
             learner.params -= grad
             total += loss * len(batch)
     if not np.isfinite(learner.params).all():

@@ -2,6 +2,10 @@
 
 import copy
 import math
+import pickle
+import re
+import sys
+import threading
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -363,6 +367,15 @@ class TestTrainEpoch:
             train_epoch(learner, small_blobs.X, labels, hp, warmup_stream(small_spec, 0))
         assert np.array_equal(learner.params, before)
 
+    @pytest.mark.parametrize("shape", [(120, 7), (120,), (120, 4, 1)], ids=["wide_rows", "vector", "cube"])
+    def test_rows_of_the_wrong_shape_are_rejected(self, small_spec, small_blobs, hp, shape):
+        learner = init_learner(small_spec, 0)
+        before = learner.params.copy()
+        message = rf"^expected rows of width 4, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            train_epoch(learner, np.ones(shape), small_blobs.y, hp, warmup_stream(small_spec, 0))
+        assert np.array_equal(learner.params, before)
+
     def test_divergence_raises_naming_learner_and_rate(self, small_spec, small_blobs):
         learner = init_learner(small_spec, 6)
         # Divergence is reported by the exception alone, not by numpy warnings.
@@ -396,7 +409,7 @@ def central_difference_gradient(spec, params, X, y, h=1e-5):
 
 
 class TestViewMemo:
-    """loss_and_gradient reuses layer views for a repeated (params, out) pair."""
+    """loss_and_gradient reuses each thread's buffers and views for a repeated (params, out) pair."""
 
     @staticmethod
     def step(spec, params, out, blobs):
@@ -406,12 +419,13 @@ class TestViewMemo:
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         self.step(small_spec, params, out, small_blobs)
-        first = small_spec._views
+        first = nn._scratch.last
+        layers, grads = first.layers, first.grads
         self.step(small_spec, params, out, small_blobs)
-        assert small_spec._views is first
-        assert first[0] is params and first[1] is out
-        w, _ = first[2][0]
-        gw, _ = first[3][0]
+        assert nn._scratch.last is first and first.layers is layers and first.grads is grads
+        assert first.spec is small_spec and first.params is params and first.out is out
+        w, _ = first.layers[0]
+        gw, _ = first.grads[0]
         assert np.shares_memory(w, params) and np.shares_memory(gw, out)
 
     def test_in_place_param_edit_shows_in_next_call(self, small_spec, small_blobs):
@@ -426,17 +440,18 @@ class TestViewMemo:
     def test_new_out_buffer_gets_fresh_views(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         self.step(small_spec, params, np.empty_like(params), small_blobs)
-        first = small_spec._views
+        first_grads = nn._scratch.last.grads
         out = np.full_like(params, np.nan)
         _, grad = self.step(small_spec, params, out, small_blobs)
-        assert grad is out and small_spec._views[1] is out
-        assert small_spec._views[3] is not first[3]
+        assert grad is out and nn._scratch.last.out is out
+        assert nn._scratch.last.grads is not first_grads
         assert np.array_equal(out, self.step(small_spec, params, None, small_blobs)[1])
 
     def test_no_out_is_not_remembered(self, small_spec, small_blobs):
+        before = nn._scratch.last
         params = init_learner(small_spec, 0).params
         self.step(small_spec, params, None, small_blobs)
-        assert small_spec._views[0] is None
+        assert nn._scratch.last is before
 
     def test_non_contiguous_params_always_unpack_fresh(self, small_spec, small_blobs):
         n = param_count(small_spec)
@@ -445,9 +460,10 @@ class TestViewMemo:
         assert not params.flags.c_contiguous
         out = np.empty(n)
         expected = self.step(small_spec, params.copy(), None, small_blobs)
+        before = nn._scratch.last
         for _ in range(2):
             loss, grad = self.step(small_spec, params, out, small_blobs)
-            assert small_spec._views[0] is None
+            assert nn._scratch.last is before
             assert loss == expected[0] and np.array_equal(grad, expected[1])
         # An edit through the strided view shows in the next call.
         params[:] = init_learner(small_spec, 1).params
@@ -460,13 +476,24 @@ class TestViewMemo:
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         self.step(small_spec, params, out, small_blobs)
+        mine = nn._scratch.last
         X = np.random.default_rng(0).normal(size=(9, 6))
         y = np.arange(9) % 3
         loss, grad = loss_and_gradient(other, params, X, y, out=out)
-        assert other._views[2][0][0].shape == (6, 4)
-        assert small_spec._views[2][0][0].shape == (4, 5)
+        assert nn._scratch.last.spec is other and mine.spec is small_spec
+        assert nn._scratch.last.layers[0][0].shape == (6, 4)
+        assert mine.layers[0][0].shape == (4, 5)
         fresh_loss, fresh_grad = loss_and_gradient(other, params.copy(), X, y)
         assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+
+    def test_a_thread_keeps_at_most_eight_steps(self, small_spec, small_blobs):
+        params = init_learner(small_spec, 0).params
+        out = np.empty_like(params)
+        for rows in range(1, 11):
+            loss, grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows], out=out)
+            fresh_loss, fresh_grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows])
+            assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+            assert len(nn._scratch.steps) <= 8 and nn._scratch.last.n == rows
 
     def test_wrong_shape_still_raises(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
@@ -491,16 +518,45 @@ class TestViewMemo:
         ids=["strided", "float32", "row_matrix"],
     )
     def test_unfit_out_buffer_is_rejected_naming_out(self, small_spec, small_blobs, make_out):
+        before = nn._scratch.last
         params = init_learner(small_spec, 0).params
         with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 flat vector"):
             self.step(small_spec, params, make_out(len(params)), small_blobs)
-        assert small_spec._views[0] is None
+        assert nn._scratch.last is before
 
-    def test_copies_of_a_spec_start_without_views(self, small_spec, small_blobs):
+    def test_copies_of_a_trained_spec_carry_no_arrays(self, small_spec, small_blobs, hp):
         learner = init_learner(small_spec, 0)
-        self.step(small_spec, learner.params, np.empty_like(learner.params), small_blobs)
-        twin = copy.deepcopy(learner)
-        assert twin.spec == small_spec and twin.spec._views[0] is None
+        train_epoch(learner, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0))
+        for spec in (small_spec, copy.deepcopy(small_spec), pickle.loads(pickle.dumps(small_spec))):
+            assert spec == small_spec
+            assert set(vars(spec)) == {"layer_widths", "seed", "_layout", "_n_params"}
+            assert not any(isinstance(v, np.ndarray) for v in vars(spec).values())
+
+    def test_threads_training_learners_of_one_spec_match_serial_training(self, small_spec, small_blobs, hp):
+        def train(learner, rng):
+            for _ in range(20):
+                train_epoch(learner, small_blobs.X, small_blobs.y, hp, rng)
+
+        serial = [init_learner(small_spec, i) for i in range(2)]
+        for learner in serial:
+            train(learner, warmup_stream(small_spec, learner.id))
+        threaded = [init_learner(small_spec, i) for i in range(2)]
+        threads = [
+            threading.Thread(target=train, args=(learner, warmup_stream(small_spec, learner.id)))
+            for learner in threaded
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.params, b.params)
 
 
 class TestGradient:
@@ -527,19 +583,25 @@ class TestGradient:
         after, _ = loss_and_gradient(small_spec, stepped, small_blobs.X, small_blobs.y)
         assert after < loss
 
+    # Each case is a batch of X shaped as given, for the width-4 small_spec.
     @pytest.mark.parametrize(
-        "labels, message",
+        "shape, labels, message",
         [
-            ([3, 0, 1, 2], r"must lie in \[0, 3\)"),
-            ([-1, 0, 1, 2], r"must lie in \[0, 3\)"),
-            ([1], "4 rows but labels of shape"),
-            (1, "4 rows but labels of shape"),
+            ((4, 4), [3, 0, 1, 2], r"must lie in \[0, 3\)"),
+            ((4, 4), [-1, 0, 1, 2], r"must lie in \[0, 3\)"),
+            ((4, 4), [1], "4 rows but labels of shape"),
+            ((4, 4), 1, "4 rows but labels of shape"),
+            ((0, 4), [], r"^a batch needs at least one row, got shape \(0, 4\)$"),
+            ((2, 7), [0, 1], r"^expected rows of width 4, got shape \(2, 7\)$"),
+            ((4,), [1], r"^expected rows of width 4, got shape \(4,\)$"),
         ],
-        ids=["above_K", "negative", "one_label", "scalar"],
+        ids=["above_K", "negative", "one_label", "scalar", "empty_batch", "wide_rows", "one_vector"],
     )
     @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
-    def test_bad_labels_are_rejected(self, small_spec, small_blobs, labels, message, with_out):
+    def test_bad_labels_are_rejected(self, small_spec, shape, labels, message, with_out):
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params) if with_out else None
-        with pytest.raises(ValueError, match=message):
-            loss_and_gradient(small_spec, params, small_blobs.X[:4], labels, out=out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                loss_and_gradient(small_spec, params, np.ones(shape), labels, out=out)

@@ -13,6 +13,7 @@ import copy
 import numpy as np
 import pytest
 
+import nkdiff.nn as nn
 from nkdiff import (
     PROB_FLOOR,
     ModelSpec,
@@ -201,7 +202,7 @@ def test_forward_batch_with_equal_logits_matches_reference(widths):
 
 @pytest.mark.parametrize("widths", WIDTHS)
 def test_one_out_buffer_across_sgd_steps_matches_reference(widths):
-    # The spec keeps views of (params, out); in-place updates must show.
+    # The thread keeps views of (params, out); in-place updates must show.
     ds = blobs_for(widths, seed=23)
     spec = ModelSpec(layer_widths=widths, seed=5)
     params = init_learner(spec, 2).params
@@ -215,7 +216,29 @@ def test_one_out_buffer_across_sgd_steps_matches_reference(widths):
         assert np.array_equal(grad, ref_grad)
         params -= 0.05 * grad
         twin -= 0.05 * ref_grad
-    assert spec._views[0] is params
+    assert nn._scratch.last.params is params
+    assert np.array_equal(params, twin)
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+def test_changing_batch_sizes_with_one_out_buffer_match_reference(widths):
+    # Each batch size has its own buffers; switching back reuses the first ones.
+    ds = blobs_for(widths, seed=29)
+    spec = ModelSpec(layer_widths=widths, seed=5)
+    params = init_learner(spec, 2).params
+    twin = params.copy()
+    buf = np.empty_like(params)
+    start = 0
+    for size in (32, 24, 32, 1, 17):
+        rows = np.arange(start, start + size) % len(ds)
+        start += size
+        X, y = ds.X[rows], ds.y[rows]
+        loss, grad = loss_and_gradient(spec, params, X, y, out=buf)
+        ref_loss, ref_grad = ref_loss_and_gradient(spec, twin, X, y)
+        assert grad is buf and loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        params -= 0.05 * grad
+        twin -= 0.05 * ref_grad
     assert np.array_equal(params, twin)
 
 

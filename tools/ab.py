@@ -3,6 +3,7 @@
 Usage, from anywhere::
 
     python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload btb_c2_cli --seeds 1 2 3 4 5
+    python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload oo_c10_serial --seeds 6 7 --trace
 
 For each seed, in turn, the script runs ``bench/run.py --workload W --seed S
 --seconds 35 --trace 0`` in both trees, one after the other; the first pair
@@ -15,7 +16,12 @@ quartiles on each side, and in how many pairs the change was better (by the
 metric's ``better`` direction) and in how many exactly equal. After the
 table it says, for each metric, whether the change meets the claim rule:
 it won at least 9 of every 10 pairs (ties count for neither side), and its
-median is better than the parent's by more than the parent's Q3 - Q1. It
+median is better than the parent's by more than the parent's Q3 - Q1.
+
+With ``--trace``, each run is ``bench/run.py --trace 1`` instead, with the
+same alternation, and the table covers every per-layer metric in
+CHANGE_DIR's ``BENCHMARK.json``. It applies no claim rule, because a
+per-layer number is not a claim: it shows where a change's time went. It
 uses only the standard library and edits nothing in either tree.
 """
 
@@ -34,10 +40,10 @@ SECONDS = 35
 YES_NO = {True: "yes", False: "no"}
 
 
-def run_bench(tree: Path, workload: str, seed: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     """The last-line JSON of one ``bench/run.py`` run in ``tree``; raises RuntimeError if not correct."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(SECONDS), "--trace", "0"]
+               "--seconds", str(SECONDS), "--trace", str(int(trace))]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -64,18 +70,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and compare the per-layer metrics, with no claim rule")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"no bench/run.py in {tree}")
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["per_layer" if args.trace else "end_to_end"]
 
     values: dict[str, dict[str, list[float]]] = {side: {m["name"]: [] for m in metrics} for side in SIDES}
     for pair, seed in enumerate(args.seeds):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             try:
-                result = run_bench(trees[side], args.workload, seed)
+                result = run_bench(trees[side], args.workload, seed, args.trace)
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
@@ -84,8 +92,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {pair + 1}/{len(args.seeds)} seed {seed}: {side} done", file=sys.stderr, flush=True)
 
     n = len(args.seeds)
-    print(f"workload {args.workload}, {n} pairs, seeds {args.seeds}")
-    print(f"{'metric':<22} {'parent q1/median/q3':>32} {'change q1/median/q3':>32}  change better  equal")
+    print(f"workload {args.workload}, {n} pairs, seeds {args.seeds}" + (", traced" if args.trace else ""))
+    width = max(len(m["name"]) for m in metrics)
+    print(f"{'metric':<{width}} {'parent q1/median/q3':>32} {'change q1/median/q3':>32}  change better  equal")
     rule = []
     for m in metrics:
         name = m["name"]
@@ -94,16 +103,19 @@ def main(argv: list[str] | None = None) -> int:
         better = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         equal = sum(c == p for p, c in zip(parent, change))
         cells = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (parent, change)]
-        print(f"{name:<22} {cells[0]:>32} {cells[1]:>32}  {better:>6}/{n:<6} {equal:>2}/{n}")
+        print(f"{name:<{width}} {cells[0]:>32} {cells[1]:>32}  {better:>6}/{n:<6} {equal:>2}/{n}")
         (q1, median, q3), change_median = quartiles(parent), quartiles(change)[1]
         gap = change_median - median if sign > 0 else median - change_median
         rule.append((name, better, gap, q3 - q1))
+    if args.trace:
+        print("per-layer metrics: no claim rule applies")
+        return 0
     print("claim rule: the change wins at least 9/10 of the pairs, and its median is better")
     print("than the parent's by more than the parent's Q3 - Q1")
-    print(f"{'metric':<22} {'pairs won':>13} {'median gap':>12} {'parent IQR':>12} {'gap > IQR':>10}  met")
+    print(f"{'metric':<{width}} {'pairs won':>13} {'median gap':>12} {'parent IQR':>12} {'gap > IQR':>10}  met")
     for name, better, gap, iqr in rule:
         won, beyond = 10 * better >= 9 * n, gap > iqr
-        print(f"{name:<22} {better:>6}/{n:<3} {YES_NO[won]:>3} {gap:>12.4g} {iqr:>12.4g} {YES_NO[beyond]:>10}  "
+        print(f"{name:<{width}} {better:>6}/{n:<3} {YES_NO[won]:>3} {gap:>12.4g} {iqr:>12.4g} {YES_NO[beyond]:>10}  "
               f"{YES_NO[won and beyond]}")
     return 0
 
