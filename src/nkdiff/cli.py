@@ -19,9 +19,8 @@ import sys
 import tempfile
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
 
-from .data import BlobsSpec, CorruptionSpec, Dataset, IdxFormatError, IdxSpec, build_datasets
+from .data import KINDS, BlobsSpec, CorruptionSpec, Dataset, IdxFormatError, IdxSpec, build_datasets
 from .engine import ExperimentConfig, prepare_data, run_experiment
 from .metrics import AGG_FIELDS, AggregateSeries, MetricsRecord, aggregate_seeds
 from .nn import NonFiniteError, TrainHyperparams
@@ -38,37 +37,35 @@ RUN_CSV_HEADER = ",".join(RUN_CSV_COLUMNS)
 SUMMARY_CSV_COLUMNS = ("cell", "policy", "c", "pretrain", "noise", "final_round", "final_alacc_test",
                        "final_ensacc_test", "best_alacc_test", "best_ensacc_test")
 
-# Every config key with its JSON type and its default. float is any JSON
-# number a float holds, [int] a list of integers, and a dataclass a nested
-# section typed by its fields. A None default leaves the key unset. A key
-# that sets a library field takes that field's default from the library.
+# Every config key with its kind and its default. A kind is a scalar kind of
+# data.KINDS (the library types check their fields by it too), [kind] a list
+# of that kind, or a dataclass: a nested section kinded by its fields. A None
+# default leaves the key unset; a key that sets a library field takes that field's default.
 _DEFAULT = ExperimentConfig(policy="btb")
 SCHEMA: dict = {
-    "policy": (str, _DEFAULT.policy),
-    "n": (int, _DEFAULT.n_models),
-    "c": (int, _DEFAULT.capacity),
-    "rounds": (int, _DEFAULT.rounds),
-    "seeds": (int, 5),
-    "master_seed": (int, _DEFAULT.master_seed),
-    "pretrain": (bool, _DEFAULT.pretrain),
-    "noise": (float, 0.0),
-    "random_labels": (bool, False),
-    "noise_seed": (int, CorruptionSpec(fraction=0.0).seed),
-    "dataset": (str, "blobs"),
+    "policy": ("str", _DEFAULT.policy),
+    "n": ("int", _DEFAULT.n_models),
+    "c": ("int", _DEFAULT.capacity),
+    "rounds": ("int", _DEFAULT.rounds),
+    "seeds": ("int", 5),
+    "master_seed": ("Seed", _DEFAULT.master_seed),
+    "pretrain": ("bool", _DEFAULT.pretrain),
+    "noise": ("float", 0.0),
+    "random_labels": ("bool", False),
+    "noise_seed": ("Seed", CorruptionSpec(fraction=0.0).seed),
+    "dataset": ("str", "blobs"),
     "blobs": (BlobsSpec, asdict(BlobsSpec())),
     "idx": (IdxSpec, None),
-    "hidden_widths": ([int], list(_DEFAULT.hidden_widths)),
-    "learning_rate": (float, _DEFAULT.hyperparams.learning_rate),
-    "batch_size": (int, _DEFAULT.hyperparams.batch_size),
-    "shuffle": (bool, _DEFAULT.hyperparams.shuffle),
-    "out": (str, None),
+    "hidden_widths": (["int"], list(_DEFAULT.hidden_widths)),
+    "learning_rate": ("float", _DEFAULT.hyperparams.learning_rate),
+    "batch_size": ("int", _DEFAULT.hyperparams.batch_size),
+    "shuffle": ("bool", _DEFAULT.hyperparams.shuffle),
+    "out": ("str", None),
 }
 DEFAULT_CONFIG = {key: default for key, (_, default) in SCHEMA.items()}
 
 # Sweep axis -> the config key each of its entries sets, in grid order.
 SWEEP_AXES = {"policies": "policy", "capacities": "c", "pretraining": "pretrain", "noise_levels": "noise"}
-
-_TYPE_NAMES = {bool: "true or false", int: "a 64-bit integer", float: "a number", str: "a string"}
 
 
 def config_hash(config: dict) -> str:
@@ -112,21 +109,10 @@ def merge_config(base: dict, *layers: dict) -> dict:
     return merged
 
 
-def _fits(value, kind: type) -> bool:
-    """Whether a JSON value has type ``kind``; a boolean is never a number."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:  # a number a float holds: not NaN, infinite or a larger integer
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if kind is int:  # an integer numpy holds
-        return isinstance(value, int) and -(2**63) <= value < 2**63
-    return isinstance(value, kind)
-
-
 def _check(value, kind, path: str) -> None:
-    """Raise ConfigurationError naming ``path`` unless ``value`` has the JSON type ``kind``."""
+    """Raise ConfigurationError naming ``path`` unless ``value`` is of the SCHEMA kind ``kind``."""
     if is_dataclass(kind):
-        kind = get_type_hints(kind)
+        kind = {f.name: f.type for f in fields(kind)}
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ConfigurationError(f"{path} must be an object, got {value!r}")
@@ -140,8 +126,8 @@ def _check(value, kind, path: str) -> None:
             raise ConfigurationError(f"{path} must be a list, got {value!r}")
         for i, item in enumerate(value):
             _check(item, kind[0], f"{path}[{i}]")
-    elif not _fits(value, kind):
-        raise ConfigurationError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    elif not KINDS[kind][0](value):
+        raise ConfigurationError(f"{path} must be {KINDS[kind][1]}, got {value!r}")
 
 
 def check_config(config: dict, sweep: bool) -> None:

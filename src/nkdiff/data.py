@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -33,24 +33,47 @@ def stream(name: str, seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, STREAMS[name], *key)))
 
 
+Seed = int  # the annotation of every seed field: an int that must not be negative
+
+
 def _is_int(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included, and not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    """Whether ``value`` is an integer an int64 holds, numpy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and -(2**63) <= int(value) < 2**63
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number, numpy's included, and not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite real number, numpy's included, and not a bool."""
+    try:  # finiteness, not a comparison with the float range: np.float32 overflows in that
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _check_fields(spec, ints: tuple[str, ...] = (), reals: tuple[str, ...] = ()) -> None:
-    """Raise ValueError naming the first field of ``spec`` in ``ints`` that is
-    not an integer, or in ``reals`` that is not a real number."""
-    for names, fits, kind in ((ints, _is_int, "an integer"), (reals, _is_real, "a real number")):
-        for name in names:
-            value = getattr(spec, name)
-            if not fits(value):
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
+# Each scalar kind a field annotation may name: its test and its name in an
+# error. The library types check their fields by it, and the CLI its JSON values.
+KINDS = {
+    "int": (_is_int, "a 64-bit integer"),
+    "Seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_types(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass ``obj`` whose value is not of the
+    KINDS kind its annotation names; fields of other annotations are left to their class."""
+    # Every module here postpones annotations, so ``f.type`` is their text: none is resolved per call.
+    for f in fields(obj):
+        if f.type in KINDS and not KINDS[f.type][0](getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be {KINDS[f.type][1]}, got {getattr(obj, f.name)!r}")
+
+
+def int_tuple(value, name: str) -> tuple[int, ...]:
+    """``value``, a tuple or list of 64-bit integers, as a tuple of ints; ValueError naming ``name`` otherwise."""
+    if not isinstance(value, (tuple, list)) or not all(_is_int(v) for v in value):
+        raise ValueError(f"{name} must be integers in a tuple or list, got {value!r}")
+    return tuple(int(v) for v in value)
 
 
 class IdxFormatError(ValueError):
@@ -105,6 +128,7 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self):
+        check_types(self)
         object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
@@ -137,10 +161,10 @@ class CorruptionSpec:
 
     fraction: float
     mode: str = "uniform_replace"
-    seed: int = 97
+    seed: Seed = 97
 
     def __post_init__(self):
-        _check_fields(self, ints=("seed",), reals=("fraction",))
+        check_types(self)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
         if self.mode not in CORRUPTION_MODES:
@@ -296,16 +320,12 @@ class BlobsSpec:
     d: int = 10
     centers_scale: float = 1.0
     noise_sigma: float = 1.5
-    seed: int = 7
+    seed: Seed = 7
     train_frac: float = 0.6
     val_frac: float = 0.2
 
     def __post_init__(self):
-        _check_fields(
-            self,
-            ints=("n_per_class", "k", "d", "seed"),
-            reals=("centers_scale", "noise_sigma", "train_frac", "val_frac"),
-        )
+        check_types(self)
 
 
 @dataclass(frozen=True)
@@ -313,7 +333,7 @@ class IdxSpec:
     """Config for an IDX-backed experiment dataset.
 
     Validation is carved out of the training files; the test files are
-    used as-is.
+    used as-is. A path given as an ``os.PathLike`` is stored as its string.
     """
 
     train_images: str
@@ -321,13 +341,13 @@ class IdxSpec:
     test_images: str
     test_labels: str
     val_frac: float = 0.1
-    seed: int = 7
+    seed: Seed = 7
 
     def __post_init__(self):
         for name in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not isinstance(getattr(self, name), (str, os.PathLike)):
-                raise ValueError(f"{name} must be a file name, got {getattr(self, name)!r}")
-        _check_fields(self, ints=("seed",), reals=("val_frac",))
+            if isinstance(getattr(self, name), os.PathLike):
+                object.__setattr__(self, name, os.fspath(getattr(self, name)))
+        check_types(self)
 
 
 def build_datasets(spec) -> tuple[Dataset, Dataset, Dataset]:

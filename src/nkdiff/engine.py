@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BlobsSpec, CorruptionSpec, Dataset, IdxSpec, _is_int, build_datasets, corrupt_labels, stream
+from .data import (BlobsSpec, CorruptionSpec, Dataset, IdxSpec, Seed, build_datasets, check_types, corrupt_labels,
+                   int_tuple, stream)
 from .metrics import MetricsRecord, accuracy, average_learner_accuracy
 from .nn import (
     Learner,
@@ -80,20 +81,18 @@ class ExperimentConfig:
     hyperparams: TrainHyperparams = field(default_factory=TrainHyperparams)
     dataset: BlobsSpec | IdxSpec = field(default_factory=BlobsSpec)
     corruption: CorruptionSpec | None = None
-    master_seed: int = 0
+    master_seed: Seed = 0
 
     def __post_init__(self):
-        if not isinstance(self.policy, str):
-            raise ConfigurationError(f"policy must be a string, got {self.policy!r}")
-        for name in ("n_models", "capacity", "rounds", "master_seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.pretrain, bool):
-            raise ConfigurationError(f"pretrain must be True or False, got {self.pretrain!r}")
-        if not isinstance(self.hidden_widths, (tuple, list)) or not all(_is_int(w) for w in self.hidden_widths):
-            raise ConfigurationError(f"hidden_widths must be a sequence of integers, got {self.hidden_widths!r}")
+        check_types(self)
         # A tuple, as ModelSpec stores its widths, so the frozen config hashes.
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "hidden_widths", int_tuple(self.hidden_widths, "hidden_widths"))
+        if not isinstance(self.hyperparams, TrainHyperparams):
+            raise ValueError(f"hyperparams must be a TrainHyperparams, got {self.hyperparams!r}")
+        if not isinstance(self.dataset, (BlobsSpec, IdxSpec)):
+            raise ValueError(f"dataset must be a BlobsSpec or an IdxSpec, got {self.dataset!r}")
+        if not isinstance(self.corruption, (CorruptionSpec, type(None))):
+            raise ValueError(f"corruption must be a CorruptionSpec or None, got {self.corruption!r}")
         check_policy(self.policy, self.capacity, self.n_models)
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
@@ -101,8 +100,6 @@ class ExperimentConfig:
             raise ConfigurationError("population needs at least 2 models")
         if any(w < 1 for w in self.hidden_widths):
             raise ConfigurationError(f"hidden widths must be positive, got {list(self.hidden_widths)}")
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be non-negative")
 
 
 def run_session(

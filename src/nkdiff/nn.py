@@ -14,7 +14,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import _is_int, _is_real, check_labels, stream
+from .data import Seed, check_labels, check_types, int_tuple, stream
 
 # Positivity floor applied to output distributions; keeps log-domain
 # ensemble voting defined when a softmax underflows to 0.
@@ -36,12 +36,11 @@ class ModelSpec:
     """
 
     layer_widths: tuple[int, ...]
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
-        if not all(_is_int(w) for w in self.layer_widths):
-            raise ValueError(f"layer widths must be integers, got {tuple(self.layer_widths)}")
-        widths = tuple(int(w) for w in self.layer_widths)
+        check_types(self)
+        widths = int_tuple(self.layer_widths, "layer widths")
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:
             raise ValueError("layer_widths needs at least an input and an output width")
@@ -49,8 +48,6 @@ class ModelSpec:
             raise ValueError(f"layer widths must be positive, got {widths}")
         if widths[-1] < 2:
             raise ValueError("output layer needs at least 2 classes")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # Per layer: (W start, b start, b end, W shape) in the flat vector.
         layout, start = [], 0
         for wi, wo in zip(widths[:-1], widths[1:]):
@@ -75,19 +72,18 @@ class TrainHyperparams:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not _is_real(self.learning_rate) or not self.learning_rate >= 0:
-            raise ValueError(f"learning_rate must be a non-negative real, got {self.learning_rate!r}")
-        if not _is_int(self.batch_size) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not isinstance(self.shuffle, bool):
-            raise ValueError(f"shuffle must be True or False, got {self.shuffle!r}")
+        check_types(self)
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Learner:
     """One trainee: a classifier that learns from its teachers' labels.
 
-    Two learners are equal only if they are the same object.
+    Training updates ``params`` in place. Two learners are equal only if they are the same object.
     """
 
     is_oracle: ClassVar[bool] = False
@@ -95,8 +91,11 @@ class Learner:
     id: int
     spec: ModelSpec
     params: np.ndarray
-    # forward_stack outputs for one (spec, params) state; see forward_stack.
+    # forward_stack outputs for one parameter state; see forward_stack.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        check_types(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +108,7 @@ class Oracle:
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_types(self)
         object.__setattr__(self, "labels", np.array(self.labels))
         self.labels.setflags(write=False)
 
@@ -230,12 +230,12 @@ def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray
     layout; each result is bit-identical to evaluating its learner alone.
 
     A read-only X that owns its memory (a Dataset's X) is memoized per
-    learner: a learner whose memo holds this X object, for the same spec
-    object and the same parameter bytes, gets a copy of the remembered
-    output. The other learners are computed in one stacked pass. Bytes, not
-    values, key the memo: comparing them is an order of magnitude cheaper
-    than ``np.array_equal`` on a small vector, and a vector equal by value
-    but not by bits (a 0.0 turned -0.0) merely recomputes.
+    learner: a learner whose memo holds this X object, for the same
+    parameter bytes, gets a copy of the remembered output. The other
+    learners are computed in one stacked pass. Bytes, not values, key the
+    memo: comparing them is an order of magnitude cheaper than
+    ``np.array_equal`` on a small vector, and a vector equal by value but
+    not by bits (a 0.0 turned -0.0) merely recomputes.
 
     Raises NonFiniteError naming the first computed learner, in list order,
     whose logits are NaN or infinite; its distributions would be scored as
@@ -254,8 +254,9 @@ def forward_stack(learners: Sequence[Learner], X: np.ndarray) -> list[np.ndarray
     for i, learner in enumerate(learners):
         if memoize:
             memo, key = learner._memo, learner.params.tobytes()
-            if memo.get("spec") is not learner.spec or memo["params"] != key:
-                learner._memo = {"spec": learner.spec, "params": key}
+            if memo.get("params") != key:
+                memo.clear()
+                memo["params"] = key
             elif memo.get(id(X), (None,))[0] is X:
                 out[i] = memo[id(X)][1].copy()
                 continue
@@ -370,14 +371,13 @@ def loss_and_gradient(
     ``params`` (ValueError otherwise); the gradient is written into it,
     overwriting every entry, and it is returned in place of a fresh array.
 
-    Every intermediate is written into a buffer sized for the batch. With
-    ``out`` and C-contiguous ``params``, the calling thread keeps those
-    buffers, one set per (layer widths, batch rows), and with each set the
-    layer views of the last (spec, params, out) it ran, so a loop that passes
-    the same arrays allocates nothing and reuses them across batches, epochs
-    and learners. Other calls use fresh buffers and a fresh gradient. Each
-    thread has its own buffers, so threads may train at once, even learners
-    of one spec, as long as no two of them pass the same ``params`` or ``out``.
+    Every intermediate is written into a buffer sized for the batch. The
+    calling thread keeps those buffers, one set per (layer widths, batch
+    rows), and with each set the layer views of the last (spec, params, out)
+    it ran, so a loop that passes the same arrays allocates nothing and
+    reuses them across batches, epochs and learners. Each thread has its own
+    buffers, so threads may train at once, even learners of one spec, as long
+    as no two of them pass the same ``params`` or ``out``.
 
     ``X`` must be a matrix of at least one row of ``spec.input_dim`` columns,
     and ``labels`` are checked by ``check_labels`` (one per row of X, in
@@ -404,27 +404,23 @@ def loss_and_gradient(
         _check_rows(X, spec.input_dim)
         if not len(X):
             raise ValueError(f"a batch needs at least one row, got shape {X.shape}")
-        if out is not None and not (
-            out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous
-        ):
+        if out is None:
+            out = np.empty(spec._n_params)
+        elif not (out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous):
             raise ValueError(
                 f"out must be a C-contiguous float64 flat vector of {spec._n_params} "
                 f"parameters, got {out.dtype} of shape {out.shape}"
             )
         labels = check_labels(labels, spec.n_classes, len(X))
         key = (spec.layer_widths, len(X))
-        if out is None or not params.flags.c_contiguous:
-            step = _Step(*key)
-            step.bind(spec, params, np.empty_like(params) if out is None else out)
-        else:
-            steps = _scratch.steps
-            step = steps.get(key)
-            if step is None:
-                if len(steps) >= _MAX_STEPS:
-                    steps.clear()
-                step = steps[key] = _Step(*key)
-            step.bind(spec, params, out)
-            _scratch.last = step
+        steps = _scratch.steps
+        step = steps.get(key)
+        if step is None:
+            if len(steps) >= _MAX_STEPS:
+                steps.clear()
+            step = steps[key] = _Step(*key)
+        step.bind(spec, params, out)
+        _scratch.last = step
 
     a = X
     for w, b, z in step.forward:
@@ -494,7 +490,7 @@ def train_epoch(
     # Rows of X are gathered per batch: a shuffled copy of all of X per
     # epoch would cost a full-size buffer on wide inputs.
     labels = labels[order]
-    grad = np.empty_like(learner.params)
+    params, grad = learner.params, np.empty_like(learner.params)
     # A float64 scalar: numpy multiplies by it with less dispatch than by a Python float.
     rate = np.float64(hp.learning_rate)
     total = 0.0
@@ -504,12 +500,12 @@ def train_epoch(
             stop = start + hp.batch_size
             batch = X.take(order[start:stop], axis=0)
             loss, _ = loss_and_gradient(
-                learner.spec, learner.params, batch, labels[start:stop], out=grad
+                learner.spec, params, batch, labels[start:stop], out=grad
             )
             grad *= rate
-            learner.params -= grad
+            params -= grad
             total += loss * len(batch)
-    if not np.isfinite(learner.params).all():
+    if not np.isfinite(params).all():
         raise NonFiniteError(
             f"learner {learner.id} has non-finite parameters after training "
             f"at learning rate {hp.learning_rate:g}"

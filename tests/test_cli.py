@@ -13,14 +13,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nkdiff import (
     BlobsSpec,
     CorruptionSpec,
     ExperimentConfig,
+    IdxSpec,
     MetricsRecord,
+    TrainHyperparams,
     cli,
     data,
     engine,
@@ -33,8 +35,11 @@ from nkdiff.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     RUN_CSV_HEADER,
+    DEFAULT_CONFIG,
     SCHEMA,
     SWEEP_AXES,
+    build_experiments,
+    check_config,
     config_hash,
     main,
     merge_config,
@@ -621,6 +626,8 @@ class TestBadInputs:
             ("sweep", {"rundos": None}, "unknown config keys: ['rundos']"),
             ("run", {"idx": STR_IDX_PATHS}, "idx section"),
             ("sweep", {"idx": STR_IDX_PATHS, "policies": ["btb", "oo"]}, "idx section"),
+            ("run", {"noise": 0.2, "noise_seed": -1}, "seed"),
+            ("run", {"master_seed": 2**63 - 1, "seeds": 2}, "master_seed"),
         ],
         ids=[
             "blobs_n_per_class_float",
@@ -650,6 +657,8 @@ class TestBadInputs:
             "sweep_unknown_key_null",
             "run_idx_section_for_blobs",
             "sweep_idx_section_for_blobs",
+            "noise_seed_negative",
+            "second_master_seed_beyond_int64",
         ],
     )
     def test_exits_2_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys, command, bad, named):
@@ -758,3 +767,68 @@ class TestConfigFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+
+
+def _top(key):
+    return lambda config, value: config.update({key: value})
+
+
+def _section(section, key):
+    return lambda config, value: config[section].update({key: value})
+
+
+# Each CLI key that sets one library field: how it sets the config, and the
+# library type built from that field alone, with every other field at its default.
+AGREEING_KEYS = {
+    "n": (_top("n"), lambda v: ExperimentConfig(policy="btb", n_models=v)),
+    "c": (_top("c"), lambda v: ExperimentConfig(policy="btb", capacity=v)),
+    "rounds": (_top("rounds"), lambda v: ExperimentConfig(policy="btb", rounds=v)),
+    "master_seed": (_top("master_seed"), lambda v: ExperimentConfig(policy="btb", master_seed=v)),
+    "pretrain": (_top("pretrain"), lambda v: ExperimentConfig(policy="btb", pretrain=v)),
+    # The CLI folds policy names to lower case before it builds the config.
+    "policy": (_top("policy"), lambda v: ExperimentConfig(policy=v.lower() if isinstance(v, str) else v)),
+    "learning_rate": (_top("learning_rate"), lambda v: TrainHyperparams(learning_rate=v)),
+    "batch_size": (_top("batch_size"), lambda v: TrainHyperparams(batch_size=v)),
+    "shuffle": (_top("shuffle"), lambda v: TrainHyperparams(shuffle=v)),
+    **{f"blobs.{key}": (_section("blobs", key), lambda v, key=key: BlobsSpec(**{key: v})) for key in FAST_BLOBS},
+    **{
+        f"idx.{key}": (_section("idx", key), lambda v, key=key: IdxSpec(**STR_IDX_PATHS, **{key: v}))
+        for key in ("val_frac", "seed")
+    },
+}
+# Every JSON shape, with the edges of the int64 and float ranges drawn often.
+ANY_JSON_SCALAR = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, -1, 0, 10**400, float("inf"), float("nan")]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def _rejects(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+class TestLibraryAgreement:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(sorted(AGREEING_KEYS)), value=ANY_JSON_SCALAR)
+    def test_the_cli_rejects_a_value_exactly_when_the_library_does(self, key, value):
+        # A top-level null leaves its key at the default, so it sets no library field.
+        assume(value is not None or "." in key)
+        set_key, build_library = AGREEING_KEYS[key]
+        config = merge_config(DEFAULT_CONFIG, {"seeds": 1})
+        if key.startswith("idx."):
+            config.update(dataset="idx", idx=dict(STR_IDX_PATHS))
+        set_key(config, value)
+
+        def build_cli():
+            check_config(config, sweep=False)
+            build_experiments(config)
+
+        assert _rejects(build_cli) == _rejects(lambda: build_library(value))

@@ -16,7 +16,9 @@ from nkdiff import (
     IdxMagicError,
     IdxSpec,
     IdxTruncatedError,
+    Learner,
     ModelSpec,
+    Oracle,
     TrainHyperparams,
     build_datasets,
     corrupt_labels,
@@ -107,6 +109,18 @@ SPEC_TYPE_FAULTS = [
     (IdxSpec, {**IDX_NAMES, "val_frac": "0.1"}, "val_frac"),
     (IdxSpec, {**IDX_NAMES, "seed": 7.0}, "seed"),
     (IdxSpec, {**IDX_NAMES, "test_labels": 3}, "test_labels"),
+    (CorruptionSpec, {"fraction": 0.5, "seed": -3}, "seed"),
+    (BlobsSpec, {"seed": -1}, "seed"),
+    (IdxSpec, {**IDX_NAMES, "seed": -1}, "seed"),
+    (BlobsSpec, {"n_per_class": 2**70}, "n_per_class"),
+    (BlobsSpec, {"centers_scale": float("inf")}, "centers_scale"),
+    (IdxSpec, {**IDX_NAMES, "val_frac": float("nan")}, "val_frac"),
+    (TrainHyperparams, {"learning_rate": float("inf")}, "learning_rate"),
+    (TrainHyperparams, {"batch_size": 2**63}, "batch_size"),
+    (Dataset, {"X": np.zeros((3, 2)), "y": np.array([0, 1, 0]), "K": 3.0}, "K"),
+    (Dataset, {"X": np.zeros((3, 2)), "y": np.array([0, 1, 0]), "K": 3, "split": 1}, "split"),
+    (Oracle, {"id": 1.5, "labels": np.array([0, 1, 0])}, "id"),
+    (Learner, {"id": 1.0, "spec": ModelSpec((4, 5, 3)), "params": np.zeros(43)}, "id"),
 ]
 
 
@@ -116,10 +130,16 @@ class TestSpecTypes:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             spec(**kwargs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_numbers_and_paths_are_accepted(self):
         assert BlobsSpec(n_per_class=np.int64(5), k=np.int32(3), centers_scale=np.float32(2), noise_sigma=1).k == 3
         assert CorruptionSpec(fraction=np.float64(0.5), seed=np.uint8(3)).seed == 3
-        assert IdxSpec(**{name: Path(f) for name, f in IDX_NAMES.items()}, val_frac=0, seed=np.int64(1)).seed == 1
+        assert TrainHyperparams(learning_rate=np.float32(0.5), batch_size=np.int32(4)).batch_size == 4
+        assert Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 0]), K=np.int64(2)).K == 2
+        spec = IdxSpec(**{name: Path(f) for name, f in IDX_NAMES.items()}, val_frac=0, seed=np.int64(1))
+        assert spec.seed == 1
+        # Paths are stored as strings, as their str annotation says.
+        assert [getattr(spec, name) for name in IDX_NAMES] == list(IDX_NAMES.values())
 
 
 LABEL_X = np.random.default_rng(0).standard_normal((4, 3))

@@ -233,6 +233,12 @@ class TestExperimentConfig:
             ("hidden_widths", (16.0,)),
             ("hidden_widths", (True,)),
             ("hidden_widths", 16),
+            ("hidden_widths", (2**63,)),
+            ("n_models", 2**63),
+            ("master_seed", -1),
+            ("hyperparams", 5),
+            ("dataset", "blobs"),
+            ("corruption", 0.3),
         ],
     )
     def test_field_of_the_wrong_type_is_named(self, field, value):

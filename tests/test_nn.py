@@ -186,7 +186,7 @@ class TestForward:
 
     def test_overflowing_logits_raise_naming_learner(self, small_spec, small_blobs):
         learner = init_learner(small_spec, 3)
-        learner.params *= 1e200
+        learner.params[:] *= 1e200
         # Overflow is reported by the exception alone, not by numpy warnings.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -251,12 +251,12 @@ class TestForwardMemo:
             forward_batch(learner, small_blobs.X), forward_batch(other, small_blobs.X.copy())
         )
 
-    def test_new_spec_object_recomputes(self, small_spec, small_blobs, count_forwards):
+    @pytest.mark.parametrize("field", ["id", "spec", "params"])
+    def test_learner_fields_cannot_be_rebound(self, small_spec, field):
+        # So the memo's parameter bytes, and a session's id-keyed streams and labels, stay the learner's own.
         learner = init_learner(small_spec, 0)
-        forward_batch(learner, small_blobs.X)
-        learner.spec = ModelSpec(layer_widths=small_spec.layer_widths, seed=small_spec.seed)
-        forward_batch(learner, small_blobs.X)
-        assert len(count_forwards) == 2
+        with pytest.raises(FrozenInstanceError):
+            setattr(learner, field, getattr(init_learner(small_spec, 1), field))
 
     def test_writeable_and_view_inputs_are_not_memoized(self, small_spec, small_blobs, count_forwards):
         learner = init_learner(small_spec, 0)
@@ -447,23 +447,32 @@ class TestViewMemo:
         assert nn._scratch.last.grads is not first_grads
         assert np.array_equal(out, self.step(small_spec, params, None, small_blobs)[1])
 
-    def test_no_out_is_not_remembered(self, small_spec, small_blobs):
-        before = nn._scratch.last
+    def test_no_out_gets_a_fresh_gradient_from_the_kept_buffers(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
-        self.step(small_spec, params, None, small_blobs)
-        assert nn._scratch.last is before
+        out = np.empty_like(params)
+        loss, grad = self.step(small_spec, params, out, small_blobs)
+        kept = nn._scratch.last
+        fresh = [self.step(small_spec, params, None, small_blobs) for _ in range(2)]
+        assert nn._scratch.last is kept
+        assert not np.shares_memory(fresh[0][1], fresh[1][1]) and fresh[1][1] is not out
+        for fresh_loss, fresh_grad in fresh:
+            assert fresh_loss == loss and np.array_equal(fresh_grad, grad)
 
-    def test_non_contiguous_params_always_unpack_fresh(self, small_spec, small_blobs):
+    @pytest.mark.parametrize(
+        "strided",
+        [lambda p: np.repeat(p, 2)[::2], lambda p: np.asfortranarray(np.stack([p, p]))[0]],
+        ids=["every_other_entry", "fortran_row"],
+    )
+    def test_non_contiguous_params_are_bound_as_views(self, small_spec, small_blobs, strided):
         n = param_count(small_spec)
-        big = np.repeat(init_learner(small_spec, 0).params, 2)
-        params = big[::2]
+        params = strided(init_learner(small_spec, 0).params)
         assert not params.flags.c_contiguous
         out = np.empty(n)
         expected = self.step(small_spec, params.copy(), None, small_blobs)
-        before = nn._scratch.last
         for _ in range(2):
             loss, grad = self.step(small_spec, params, out, small_blobs)
-            assert nn._scratch.last is before
+            step = nn._scratch.last
+            assert step.params is params and all(np.shares_memory(w, params) for w, _ in step.layers)
             assert loss == expected[0] and np.array_equal(grad, expected[1])
         # An edit through the strided view shows in the next call.
         params[:] = init_learner(small_spec, 1).params

@@ -109,7 +109,7 @@ def ref_train_epoch(learner, X, labels, hp, rng):
     for start in range(0, n, hp.batch_size):
         idx = order[start : start + hp.batch_size]
         loss, grad = ref_loss_and_gradient(learner.spec, learner.params, X[idx], labels[idx])
-        learner.params -= hp.learning_rate * grad
+        learner.params[:] -= hp.learning_rate * grad
         total += loss * len(idx)
     return total / n
 
@@ -251,7 +251,7 @@ def test_forward_stack_matches_reference_bit_for_bit(n_learners, K, tied):
     spec = ModelSpec(layer_widths=(6, 12, K), seed=K)
     learners = [init_learner(spec, i) for i in range(n_learners)]
     for learner in learners:
-        learner.params *= 3.0
+        learner.params[:] *= 3.0
     if tied:
         # The middle learner's logits are all equal on every row.
         w, b = unpack_params(spec, learners[n_learners // 2].params)[-1]
@@ -275,7 +275,7 @@ def test_forward_stack_names_the_first_non_finite_learner():
     spec = ModelSpec(layer_widths=(6, 12, 3), seed=1)
     learners = [init_learner(spec, i) for i in range(9)]
     learners[4].params[0] = np.nan
-    learners[6].params *= 1e300
+    learners[6].params[:] *= 1e300
     X = np.random.default_rng(0).standard_normal((20, 6))
     with pytest.raises(NonFiniteError, match=r"^learner 4 "):
         forward_stack(learners, X)
@@ -291,7 +291,7 @@ def test_ensemble_predict_matches_sequential_vote_bit_for_bit(n_members, K, tied
     learners = [init_learner(spec, i) for i in range(n_members)]
     for learner in learners:
         # Near-uniform outputs make close votes, where the summation order shows.
-        learner.params *= 0.1
+        learner.params[:] *= 0.1
     if tied:
         # Each odd member repeats the one before it; the last has equal logits on every row.
         for first, second in zip(learners[::2], learners[1::2]):

@@ -16,7 +16,12 @@ quartiles on each side, and in how many pairs the change was better (by the
 metric's ``better`` direction) and in how many exactly equal. After the
 table it says, for each metric, whether the change meets the claim rule:
 it won at least 9 of every 10 pairs (ties count for neither side), and its
-median is better than the parent's by more than the parent's Q3 - Q1.
+median is better than the parent's by more than the parent's Q3 - Q1. Then
+it gives each metric one no-regression verdict, reading the metric's
+``bound`` in BENCHMARK.json as a fraction of the parent's median:
+``regressed`` if the change's median is worse than the parent's by more than
+the bound; else ``unresolved`` if the parent's Q3 - Q1 exceeds the bound,
+unless every change run beats every parent run; else ``held``.
 
 With ``--trace``, each run is ``bench/run.py --trace 1`` instead, with the
 same alternation, and the table covers every per-layer metric in
@@ -106,18 +111,37 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<{width}} {cells[0]:>32} {cells[1]:>32}  {better:>6}/{n:<6} {equal:>2}/{n}")
         (q1, median, q3), change_median = quartiles(parent), quartiles(change)[1]
         gap = change_median - median if sign > 0 else median - change_median
-        rule.append((name, better, gap, q3 - q1))
+        beats_all = all(sign * (c - p) > 0 for p in parent for c in change)
+        rule.append((m, better, gap, q3 - q1, abs(median), beats_all))
     if args.trace:
         print("per-layer metrics: no claim rule applies")
         return 0
     print("claim rule: the change wins at least 9/10 of the pairs, and its median is better")
     print("than the parent's by more than the parent's Q3 - Q1")
     print(f"{'metric':<{width}} {'pairs won':>13} {'median gap':>12} {'parent IQR':>12} {'gap > IQR':>10}  met")
-    for name, better, gap, iqr in rule:
+    for m, better, gap, iqr, *_ in rule:
         won, beyond = 10 * better >= 9 * n, gap > iqr
-        print(f"{name:<{width}} {better:>6}/{n:<3} {YES_NO[won]:>3} {gap:>12.4g} {iqr:>12.4g} {YES_NO[beyond]:>10}  "
+        print(f"{m['name']:<{width}} {better:>6}/{n:<3} {YES_NO[won]:>3} {gap:>12.4g} {iqr:>12.4g} {YES_NO[beyond]:>10}  "
               f"{YES_NO[won and beyond]}")
+    print("no-regression rule: regressed if the change's median is worse than the parent's by more than")
+    print("the bound (its BENCHMARK.json fraction of the parent's median); unresolved if the parent's")
+    print("Q3 - Q1 exceeds the bound, unless every change run beats every parent run; otherwise held")
+    print(f"{'metric':<{width}} {'bound':>12} {'median loss':>12} {'parent IQR':>12}  verdict")
+    for m, _, gap, iqr, scale, beats_all in rule:
+        bound = m["bound"] * scale
+        print(f"{m['name']:<{width}} {bound:>12.4g} {-gap:>12.4g} {iqr:>12.4g}  {verdict(-gap, iqr, bound, beats_all)}")
     return 0
+
+
+def verdict(loss: float, iqr: float, bound: float, beats_all: bool) -> str:
+    """``regressed``, ``unresolved`` or ``held``. ``loss`` is how much worse the change's median is
+    than the parent's, ``iqr`` the parent's Q3 - Q1 and ``bound`` the loss allowed, all in the
+    metric's unit; ``beats_all`` says whether every change run is better than every parent run."""
+    if loss > bound:
+        return "regressed"
+    if iqr > bound and not beats_all:
+        return "unresolved"
+    return "held"
 
 
 if __name__ == "__main__":
