@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -208,7 +207,9 @@ def build_experiments(config: dict) -> list[ExperimentConfig]:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # Mode 0o666 less the umask, as a plain open() gives; mkstemp would always make it 0o600.
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

@@ -300,19 +300,13 @@ def pseudolabels(teacher: Learner | Oracle, X: np.ndarray) -> np.ndarray:
     return predict(teacher, X)
 
 
-class _Step:
-    """One SGD step over ``n`` rows of one layer layout: its buffers and views.
-
-    Every intermediate has its own exactly sized buffer. ``bind`` points the
-    step at one spec's (params, out) pair: the (W, b) views of each layer,
-    their gradient views in ``out`` and the transposed weights.
-    """
+class _Rows:
+    """The buffers of an SGD step over ``n`` rows of one layer layout, each exactly sized."""
 
     def __init__(self, widths: tuple[int, ...], n: int):
         K = widths[-1]
-        self.n = n
         # The divisor as a float64 scalar: numpy divides by it with less dispatch than by an int.
-        self.rows = np.float64(n)
+        self.count = np.float64(n)
         self.hidden = [np.empty((n, w)) for w in widths[1:-1]]
         self.logits = np.empty((n, K))
         self.flat = self.logits.reshape(-1)
@@ -323,36 +317,56 @@ class _Step:
         self.sums = np.empty((n, 1))
         self.offsets = np.arange(0, n * K, K)
         self.picks = np.empty(n, dtype=np.int64)
-        self.deltas = [np.empty((n, w)) for w in widths[1:-1]]
-        self.signs = [np.empty((n, w)) for w in widths[1:-1]]
+        # Layers L-1 down to 1: their input activations, also transposed for the
+        # weight gradient, and the delta and ReLU-sign buffers of the layer below.
+        self.below = [(a.T, np.empty_like(a), np.empty_like(a), a) for a in self.hidden[::-1]]
+
+
+def _kept(kept: dict, key, make):
+    """``kept[key]``, made by ``make()`` if missing. Past 8 entries the dict is emptied, so a
+    caller cycling through many keys rebuilds entries instead of growing without bound."""
+    if key not in kept:
+        if len(kept) >= 8:
+            kept.clear()
+        kept[key] = make()
+    return kept[key]
+
+
+class _Step:
+    """One layer layout's SGD step: views of the (spec, params, out) last bound, and buffers per batch size.
+
+    ``bind`` makes the (W, b) views of each layer, their gradient views in ``out`` and the transposed
+    weights; ``use`` swaps in the buffers for ``n`` rows and zips them with those views.
+    """
+
+    def __init__(self):
+        self.spec = self.params = self.out = self.n = None
+        self.batches: dict[int, _Rows] = {}
 
     def bind(self, spec: ModelSpec, params: np.ndarray, out: np.ndarray) -> None:
         layers, grads = unpack_params(spec, params), unpack_params(spec, out)
         self.spec, self.params, self.out, self.layers, self.grads = spec, params, out, layers, grads
-        self.forward = [(w, b, z) for (w, b), z in zip(layers, self.hidden)]
-        self.head = layers[-1]
-        # Layers L-1 down to 1: their input activations (transposed for the
-        # weight gradient), gradient views, transposed weights, and the delta
-        # and ReLU-sign buffers of the layer below. Layer 0's input is X.
-        self.backward = [
-            (self.hidden[i - 1].T, *grads[i], layers[i][0].T, self.deltas[i - 1], self.signs[i - 1], self.hidden[i - 1])
-            for i in range(len(layers) - 1, 0, -1)
-        ]
-        self.first = grads[0]
+        self.head, self.first = layers[-1], grads[0]
+        # Layers L-1 down to 1: gradient views and transposed weights. Layer 0's input is X.
+        self.views_below = [(*grads[i], layers[i][0].T) for i in range(len(layers) - 1, 0, -1)]
+
+    def use(self, n: int) -> None:
+        rows = self.rows = _kept(self.batches, n, lambda: _Rows(self.spec.layer_widths, n))
+        self.n = n
+        self.forward = [(w, b, z) for (w, b), z in zip(self.layers, rows.hidden)]
+        self.backward = [(a_t, *views, delta, sign, a) for views, (a_t, delta, sign, a) in zip(self.views_below, rows.below)]
 
 
 class _Scratch(threading.local):
-    """One thread's SGD steps: ``steps`` by (layer widths, rows), and the ``last`` one run."""
+    """One thread's SGD steps: ``steps`` by layer widths, and the ``last`` one run."""
 
     def __init__(self):
-        self.steps: dict[tuple[tuple[int, ...], int], _Step] = {}
-        self.last: _Step | None = None
+        self.steps: dict[tuple[int, ...], _Step] = {}
+        self.last = _Step()  # unbound, so the first call binds a step of its own
 
 
 _scratch = _Scratch()
-# Steps a thread keeps; past this it drops them all, so a caller cycling
-# through many batch sizes rebuilds buffers instead of growing without bound.
-_MAX_STEPS = 8
+_FLOAT64 = np.dtype(np.float64)
 
 
 def loss_and_gradient(
@@ -372,35 +386,35 @@ def loss_and_gradient(
     overwriting every entry, and it is returned in place of a fresh array.
 
     Every intermediate is written into a buffer sized for the batch. The
-    calling thread keeps those buffers, one set per (layer widths, batch
-    rows), and with each set the layer views of the last (spec, params, out)
-    it ran, so a loop that passes the same arrays allocates nothing and
-    reuses them across batches, epochs and learners. Each thread has its own
-    buffers, so threads may train at once, even learners of one spec, as long
+    calling thread keeps one step per layer widths, bound to the last (spec,
+    params, out) it ran, with buffers per batch size, so a loop passing the
+    same arrays unpacks the parameters once, allocates nothing and reuses the
+    buffers across batches, epochs and learners. Each thread has its own
+    steps, so threads may train at once, even learners of one spec, as long
     as no two of them pass the same ``params`` or ``out``.
 
     ``X`` must be a matrix of at least one row of ``spec.input_dim`` columns,
     and ``labels`` are checked by ``check_labels`` (one per row of X, in
-    [0, K)); both raise ValueError otherwise. They are checked whenever the
-    call is not the thread's last (spec, params, out, rows): on every call
-    without ``out``, and with it on the first call with a new pair or batch
-    size, so once per ``train_epoch`` epoch, twice if its last batch is short
-    (``train_epoch`` checks all of its rows and labels itself). Later calls
-    with a remembered pair must pass such an X and an int64 label vector,
-    which are not checked.
+    [0, K)); both raise ValueError otherwise. Both are checked unless the
+    call repeats the thread's last (spec, params, out) and batch size with a
+    float64 ndarray X: on every call without ``out``, and in ``train_epoch``
+    once per epoch, twice if its last batch is short (``train_epoch`` checks
+    all of its rows and labels itself). Such a repeated call must pass an X
+    of the right width and an int64 label vector, which are not checked.
     """
-    X = np.asarray(X, dtype=np.float64)
     step = _scratch.last
     if (
-        step is None
-        or out is not step.out
+        out is not step.out
         or params is not step.params
         or spec is not step.spec
+        or type(X) is not np.ndarray
+        or X.dtype is not _FLOAT64
         or len(X) != step.n
         # An in-place reshape keeps the size, so a 1-D vector is still the right one.
         or params.ndim != 1
         or out.ndim != 1
     ):
+        X = np.asarray(X, dtype=np.float64)
         _check_rows(X, spec.input_dim)
         if not len(X):
             raise ValueError(f"a batch needs at least one row, got shape {X.shape}")
@@ -412,57 +426,54 @@ def loss_and_gradient(
                 f"parameters, got {out.dtype} of shape {out.shape}"
             )
         labels = check_labels(labels, spec.n_classes, len(X))
-        key = (spec.layer_widths, len(X))
-        steps = _scratch.steps
-        step = steps.get(key)
-        if step is None:
-            if len(steps) >= _MAX_STEPS:
-                steps.clear()
-            step = steps[key] = _Step(*key)
-        step.bind(spec, params, out)
+        step = _kept(_scratch.steps, spec.layer_widths, _Step)
+        if out is not step.out or params is not step.params or spec is not step.spec or params.ndim != 1:
+            step.bind(spec, params, out)
+        step.use(len(X))
         _scratch.last = step
 
+    rows = step.rows
     a = X
     for w, b, z in step.forward:
-        np.dot(a, w, out=z)
+        a.dot(w, out=z)
         z += b
         # ReLU in place: backprop needs only where z > 0, and relu(z) > 0 there.
         np.maximum(z, 0.0, out=z)
         a = z
     w, b = step.head
-    log_probs = step.logits
-    np.dot(a, w, out=log_probs)
+    log_probs = rows.logits
+    a.dot(w, out=log_probs)
     log_probs += b
 
     # Stable log-softmax, computed in place over the logits. The row maxima
     # reduce a class-major copy along its first axis, which numpy vectorizes
     # across rows; a max is exact, so the order does not matter.
-    step.class_major[...] = log_probs.T
-    np.maximum.reduce(step.class_major, axis=0, out=step.row_max)
-    log_probs -= step.row_max_column
-    np.exp(log_probs, out=step.exp)
-    np.add.reduce(step.exp, axis=1, keepdims=True, out=step.sums)
-    np.log(step.sums, out=step.sums)
-    log_probs -= step.sums
+    rows.class_major[...] = log_probs.T
+    np.maximum.reduce(rows.class_major, axis=0, out=rows.row_max)
+    log_probs -= rows.row_max_column
+    np.exp(log_probs, out=rows.exp)
+    np.add.reduce(rows.exp, axis=1, keepdims=True, out=rows.sums)
+    np.log(rows.sums, out=rows.sums)
+    log_probs -= rows.sums
     # Each row's label as a flat position: 1-D take and subtract, not 2-D fancy indexing.
-    picks, flat = step.picks, step.flat
-    np.add(step.offsets, labels, out=picks)
-    loss = float(-(np.add.reduce(flat.take(picks)) / step.rows))
+    picks, flat = rows.picks, rows.flat
+    np.add(rows.offsets, labels, out=picks)
+    loss = float(-(np.add.reduce(flat.take(picks)) / rows.count))
 
     delta = np.exp(log_probs, out=log_probs)
     flat[picks] -= 1.0
-    delta /= step.rows
+    delta /= rows.count
 
     for a_t, gw, gb, w_t, below, sign, a in step.backward:
-        np.dot(a_t, delta, out=gw)
+        a_t.dot(delta, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
-        np.dot(delta, w_t, out=below)
+        delta.dot(w_t, out=below)
         # Post-ReLU activations have sign exactly 0.0 or 1.0.
         np.sign(a, out=sign)
         below *= sign
         delta = below
     gw, gb = step.first
-    np.dot(X.T, delta, out=gw)
+    X.T.dot(delta, out=gw)
     np.add.reduce(delta, axis=0, out=gb)
     return loss, step.out
 
@@ -499,9 +510,7 @@ def train_epoch(
         for start in range(0, n, hp.batch_size):
             stop = start + hp.batch_size
             batch = X.take(order[start:stop], axis=0)
-            loss, _ = loss_and_gradient(
-                learner.spec, params, batch, labels[start:stop], out=grad
-            )
+            loss, _ = loss_and_gradient(learner.spec, params, batch, labels[start:stop], out=grad)
             grad *= rate
             params -= grad
             total += loss * len(batch)

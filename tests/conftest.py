@@ -1,5 +1,8 @@
 """Shared fixtures: small deterministic datasets and learners."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,3 +45,14 @@ def zeroed(learner):
 @pytest.fixture
 def zero_learner(small_spec):
     return zeroed(init_learner(small_spec, 0))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` of this checkout, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

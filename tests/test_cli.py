@@ -120,6 +120,16 @@ class TestRun:
         second = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
         assert first == second
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"])
+    def test_outputs_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            assert main(fast_args(tmp_path, "--rounds", "1", "--seeds", "1")) == EXIT_OK
+        finally:
+            os.umask(previous)
+        written = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "out").iterdir()}
+        assert written == {"run_0.csv": mode, "agg.csv": mode, "manifest.json": mode}
+
     def test_thread_env_does_not_change_bytes(self, tmp_path, monkeypatch):
         args = fast_args(tmp_path, "--policy", "pom")
         monkeypatch.setenv("NKDIFF_THREADS", "1")

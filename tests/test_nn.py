@@ -409,7 +409,7 @@ def central_difference_gradient(spec, params, X, y, h=1e-5):
 
 
 class TestViewMemo:
-    """loss_and_gradient reuses each thread's buffers and views for a repeated (params, out) pair."""
+    """loss_and_gradient keeps each thread's views of its last (spec, params, out) and its buffers per batch size."""
 
     @staticmethod
     def step(spec, params, out, blobs):
@@ -495,14 +495,42 @@ class TestViewMemo:
         fresh_loss, fresh_grad = loss_and_gradient(other, params.copy(), X, y)
         assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
 
-    def test_a_thread_keeps_at_most_eight_steps(self, small_spec, small_blobs):
+    def test_a_step_keeps_buffers_for_at_most_eight_batch_sizes(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         for rows in range(1, 11):
             loss, grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows], out=out)
             fresh_loss, fresh_grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows])
             assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
-            assert len(nn._scratch.steps) <= 8 and nn._scratch.last.n == rows
+            assert len(nn._scratch.last.batches) <= 8 and nn._scratch.last.n == rows
+
+    def test_a_thread_keeps_at_most_eight_steps(self, small_blobs):
+        X, y = small_blobs.X[:20], small_blobs.y[:20]
+        for hidden in range(1, 11):
+            spec = ModelSpec(layer_widths=(4, hidden, 3))
+            params = init_learner(spec, 0).params
+            loss, grad = loss_and_gradient(spec, params, X, y, out=np.empty_like(params))
+            fresh_loss, fresh_grad = loss_and_gradient(spec, params, X, y)
+            assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+            assert len(nn._scratch.steps) <= 8 and nn._scratch.steps[spec.layer_widths] is nn._scratch.last
+
+    def test_an_epoch_binds_its_parameters_once(self, small_spec, monkeypatch):
+        # 600 rows at batch 32: 18 full batches and a tail of 24 rows.
+        ds = gen_blobs(n_per_class=200, K=3, d=4, centers_scale=2.0, noise_sigma=0.5, seed=5)
+        learner, binds, views = init_learner(small_spec, 0), [], []
+        bind, step = nn._Step.bind, nn.loss_and_gradient
+        monkeypatch.setattr(nn._Step, "bind", lambda *args: binds.append(args[2]) or bind(*args))
+
+        def spy(*args, **kwargs):
+            result = step(*args, **kwargs)
+            views.append((nn._scratch.last.n, nn._scratch.last.layers))
+            return result
+
+        monkeypatch.setattr(nn, "loss_and_gradient", spy)
+        train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.1, 32), warmup_stream(small_spec, 0))
+        assert [n for n, _ in views] == [32] * 18 + [24]
+        assert len(binds) == 1 and binds[0] is learner.params
+        assert all(layers is views[0][1] for _, layers in views)
 
     def test_wrong_shape_still_raises(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params

@@ -242,6 +242,32 @@ def test_changing_batch_sizes_with_one_out_buffer_match_reference(widths):
     assert np.array_equal(params, twin)
 
 
+@pytest.mark.parametrize("widths", WIDTHS)
+@pytest.mark.parametrize(
+    "make_batch",
+    [
+        lambda X: X.astype(np.float32),
+        lambda X: X.astype(np.longdouble),
+        lambda X: np.repeat(X, 2, axis=0)[::2],
+        lambda X: np.repeat(X, 2, axis=1)[:, ::2],
+        lambda X: X.tolist(),
+    ],
+    ids=["float32", "longdouble", "every_other_row", "every_other_column", "nested_list"],
+)
+def test_a_batch_that_is_not_a_contiguous_float64_array_after_a_remembered_call_matches_reference(widths, make_batch):
+    # The first call remembers (spec, params, out) at 17 rows; the second passes 17 rows again.
+    ds = blobs_for(widths, seed=31)
+    spec = ModelSpec(layer_widths=widths, seed=5)
+    params = init_learner(spec, 2).params
+    buf = np.empty_like(params)
+    loss_and_gradient(spec, params, ds.X[17:34], ds.y[17:34], out=buf)
+    batch = make_batch(ds.X[:17])
+    loss, grad = loss_and_gradient(spec, params, batch, ds.y[:17], out=buf)
+    ref_loss, ref_grad = ref_loss_and_gradient(spec, params, batch, ds.y[:17])
+    assert grad is buf and loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
 @pytest.mark.parametrize("n_learners", [1, 9])
 @pytest.mark.parametrize("K", [2, 3, 7, 8, 10, 16, 128, 129, 130, 256, 257])
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])

@@ -5,6 +5,11 @@ Usage, from anywhere::
     python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload btb_c2_cli --seeds 1 2 3 4 5
     python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload oo_c10_serial --seeds 6 7 --trace
 
+Before the first run it compares ``BENCHMARK.json`` and every file under
+``bench/`` (``__pycache__`` aside) in the two trees, by sha256; if any
+differs, it prints the differing paths and exits with code 2, since the
+two sides must run identical benchmark code.
+
 For each seed, in turn, the script runs ``bench/run.py --workload W --seed S
 --seconds 35 --trace 0`` in both trees, one after the other; the first pair
 starts with the parent, the next with the change, and so on, so drift in the
@@ -33,6 +38,7 @@ uses only the standard library and edits nothing in either tree.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -61,6 +67,13 @@ def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     return result
 
 
+def benchmark_digests(tree: Path) -> dict[str, str]:
+    """sha256 of ``BENCHMARK.json`` and of each file under ``bench/`` but ``__pycache__``, by path in ``tree``."""
+    files = [tree / "BENCHMARK.json", *(tree / "bench").rglob("*")]
+    return {str(f.relative_to(tree)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in files if f.is_file() and "__pycache__" not in f.relative_to(tree).parts}
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(lower quartile, median, upper quartile); a single value is all three."""
     if len(values) < 2:
@@ -82,6 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     for tree in trees.values():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"no bench/run.py in {tree}")
+    digests = [benchmark_digests(tree) for tree in trees.values()]
+    differ = sorted(name for name in digests[0].keys() | digests[1].keys() if digests[0].get(name) != digests[1].get(name))
+    if differ:
+        print("error: the two trees run different benchmark code:\n  " + "\n  ".join(differ), file=sys.stderr)
+        return 2
     metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["per_layer" if args.trace else "end_to_end"]
 
     values: dict[str, dict[str, list[float]]] = {side: {m["name"]: [] for m in metrics} for side in SIDES}
