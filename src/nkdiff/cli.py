@@ -247,16 +247,15 @@ def execute_run(
     and return the seed aggregate that ``agg.csv`` holds.
 
     ``datasets`` may give the config's (train, val, test) already built and
-    not yet corrupted. The data is ready and checked before out_dir exists.
+    not yet corrupted. Every seed runs, and the aggregate is built, before
+    out_dir is created or written: a run that fails leaves it as it was.
     """
     data = prepare_data(experiments[0], datasets)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runs = []
-    for cfg in experiments:
-        records = run_experiment(cfg, data=data)
-        _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
-        runs.append(records)
+    runs = [run_experiment(cfg, data=data) for cfg in experiments]
     agg = aggregate_seeds(runs)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for cfg, records in zip(experiments, runs):
+        _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
     _write_atomic(out_dir / "agg.csv", format_agg_csv(agg))
     manifest = {
         "config": {k: v for k, v in config.items() if k != "out"},

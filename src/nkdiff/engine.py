@@ -218,8 +218,11 @@ def run_experiment(
     run serially. A NonFiniteError gets ``(seed S, round t)`` or
     ``(seed S, warm-up)`` appended to its message.
     """
-    train, val, test = prepare_data(cfg) if data is None else data
-    _check_data(cfg, train, val, test)
+    if data is None:
+        train, val, test = prepare_data(cfg)
+    else:
+        train, val, test = data
+        _check_data(cfg, train, val, test)
 
     spec = ModelSpec(
         layer_widths=(train.n_features, *cfg.hidden_widths, train.K),

@@ -333,40 +333,38 @@ def _kept(kept: dict, key, make):
 
 
 class _Step:
-    """One layer layout's SGD step: views of the (spec, params, out) last bound, and buffers per batch size.
+    """An SGD step over (spec, params, out): the (W, b) views of each layer, their gradient views in
+    ``out`` and the transposed weights, bound once; ``use`` swaps in the thread's buffers for ``n``
+    rows and zips them with those views. Raises ValueError unless ``out`` fits ``spec``."""
 
-    ``bind`` makes the (W, b) views of each layer, their gradient views in ``out`` and the transposed
-    weights; ``use`` swaps in the buffers for ``n`` rows and zips them with those views.
-    """
-
-    def __init__(self):
-        self.spec = self.params = self.out = self.n = None
-        self.batches: dict[int, _Rows] = {}
-
-    def bind(self, spec: ModelSpec, params: np.ndarray, out: np.ndarray) -> None:
+    def __init__(self, spec: ModelSpec, params: np.ndarray, out: np.ndarray):
+        if not (out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous):
+            raise ValueError(
+                f"out must be a C-contiguous float64 flat vector of {spec._n_params} "
+                f"parameters, got {out.dtype} of shape {out.shape}"
+            )
         layers, grads = unpack_params(spec, params), unpack_params(spec, out)
-        self.spec, self.params, self.out, self.layers, self.grads = spec, params, out, layers, grads
+        self.widths, self.out, self.n, self.layers, self.grads = spec.layer_widths, out, None, layers, grads
         self.head, self.first = layers[-1], grads[0]
         # Layers L-1 down to 1: gradient views and transposed weights. Layer 0's input is X.
         self.views_below = [(*grads[i], layers[i][0].T) for i in range(len(layers) - 1, 0, -1)]
 
     def use(self, n: int) -> None:
-        rows = self.rows = _kept(self.batches, n, lambda: _Rows(self.spec.layer_widths, n))
+        rows = self.rows = _kept(_scratch.rows, (self.widths, n), lambda: _Rows(self.widths, n))
         self.n = n
         self.forward = [(w, b, z) for (w, b), z in zip(self.layers, rows.hidden)]
         self.backward = [(a_t, *views, delta, sign, a) for views, (a_t, delta, sign, a) in zip(self.views_below, rows.below)]
 
 
 class _Scratch(threading.local):
-    """One thread's SGD steps: ``steps`` by layer widths, and the ``last`` one run."""
+    """One thread's SGD buffers by (layer widths, batch size), and the step of the epoch it is running."""
 
     def __init__(self):
-        self.steps: dict[tuple[int, ...], _Step] = {}
-        self.last = _Step()  # unbound, so the first call binds a step of its own
+        self.rows: dict[tuple[tuple[int, ...], int], _Rows] = {}
+        self.epoch: _Step | None = None
 
 
 _scratch = _Scratch()
-_FLOAT64 = np.dtype(np.float64)
 
 
 def loss_and_gradient(
@@ -385,52 +383,27 @@ def loss_and_gradient(
     ``params`` (ValueError otherwise); the gradient is written into it,
     overwriting every entry, and it is returned in place of a fresh array.
 
-    Every intermediate is written into a buffer sized for the batch. The
-    calling thread keeps one step per layer widths, bound to the last (spec,
-    params, out) it ran, with buffers per batch size, so a loop passing the
-    same arrays unpacks the parameters once, allocates nothing and reuses the
-    buffers across batches, epochs and learners. Each thread has its own
-    steps, so threads may train at once, even learners of one spec, as long
-    as no two of them pass the same ``params`` or ``out``.
-
     ``X`` must be a matrix of at least one row of ``spec.input_dim`` columns,
     and ``labels`` are checked by ``check_labels`` (one per row of X, in
-    [0, K)); both raise ValueError otherwise. Both are checked unless the
-    call repeats the thread's last (spec, params, out) and batch size with a
-    float64 ndarray X: on every call without ``out``, and in ``train_epoch``
-    once per epoch, twice if its last batch is short (``train_epoch`` checks
-    all of its rows and labels itself). Such a repeated call must pass an X
-    of the right width and an int64 label vector, which are not checked.
+    [0, K)); both raise ValueError otherwise. Every call checks them, except
+    the batches ``train_epoch`` passes with its own gradient buffer, whose
+    rows and labels it has checked for the whole epoch.
+
+    Every intermediate is written into a buffer sized for the batch, which
+    the calling thread keeps per layer widths and batch size. Each thread has
+    its own buffers, so threads may train at once, even learners of one spec,
+    as long as no two of them pass the same ``params`` or ``out``.
     """
-    step = _scratch.last
-    if (
-        out is not step.out
-        or params is not step.params
-        or spec is not step.spec
-        or type(X) is not np.ndarray
-        or X.dtype is not _FLOAT64
-        or len(X) != step.n
-        # An in-place reshape keeps the size, so a 1-D vector is still the right one.
-        or params.ndim != 1
-        or out.ndim != 1
-    ):
+    step = _scratch.epoch
+    if step is None or out is not step.out:
         X = np.asarray(X, dtype=np.float64)
         _check_rows(X, spec.input_dim)
         if not len(X):
             raise ValueError(f"a batch needs at least one row, got shape {X.shape}")
-        if out is None:
-            out = np.empty(spec._n_params)
-        elif not (out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous):
-            raise ValueError(
-                f"out must be a C-contiguous float64 flat vector of {spec._n_params} "
-                f"parameters, got {out.dtype} of shape {out.shape}"
-            )
         labels = check_labels(labels, spec.n_classes, len(X))
-        step = _kept(_scratch.steps, spec.layer_widths, _Step)
-        if out is not step.out or params is not step.params or spec is not step.spec or params.ndim != 1:
-            step.bind(spec, params, out)
+        step = _Step(spec, params, np.empty(spec._n_params) if out is None else out)
+    if len(X) != step.n:
         step.use(len(X))
-        _scratch.last = step
 
     rows = step.rows
     a = X
@@ -505,15 +478,21 @@ def train_epoch(
     # A float64 scalar: numpy multiplies by it with less dispatch than by a Python float.
     rate = np.float64(hp.learning_rate)
     total = 0.0
-    # Divergence is reported once, by the check below, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, hp.batch_size):
-            stop = start + hp.batch_size
-            batch = X.take(order[start:stop], axis=0)
-            loss, _ = loss_and_gradient(learner.spec, params, batch, labels[start:stop], out=grad)
-            grad *= rate
-            params -= grad
-            total += loss * len(batch)
+    # Rows and labels are checked above, so the batches that pass ``grad`` skip
+    # the checks; only while this loop runs, and with one bind for all of them.
+    outer, _scratch.epoch = _scratch.epoch, _Step(learner.spec, params, grad)
+    try:
+        # Divergence is reported once, by the check below, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, hp.batch_size):
+                stop = start + hp.batch_size
+                batch = X.take(order[start:stop], axis=0)
+                loss, _ = loss_and_gradient(learner.spec, params, batch, labels[start:stop], out=grad)
+                grad *= rate
+                params -= grad
+                total += loss * len(batch)
+    finally:
+        _scratch.epoch = outer
     if not np.isfinite(params).all():
         raise NonFiniteError(
             f"learner {learner.id} has non-finite parameters after training "

@@ -22,6 +22,7 @@ from nkdiff import (
     ExperimentConfig,
     IdxSpec,
     MetricsRecord,
+    NonFiniteError,
     TrainHyperparams,
     cli,
     data,
@@ -271,6 +272,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric error: learner ")
         assert "1e+06" in err
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over_an_earlier_run", "fresh_out"])
+    def test_a_failed_run_leaves_its_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys, earlier):
+        out = tmp_path / "out"
+        if earlier:
+            assert main(fast_args(tmp_path)) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if earlier else None
+        run, seeds = cli.run_experiment, []
+
+        def second_seed_diverges(cfg, data):
+            seeds.append(cfg.master_seed)
+            if len(seeds) == 2:
+                raise NonFiniteError(f"learner 0 diverged (seed {cfg.master_seed}, round 1)")
+            return run(cfg, data=data)
+
+        monkeypatch.setattr(cli, "run_experiment", second_seed_diverges)
+        # Fewer rounds: each file the failed run wrote would differ from the earlier run's.
+        assert main(fast_args(tmp_path, "--rounds", "2")) == EXIT_NUMERIC
+        assert seeds == [0, 1] and capsys.readouterr().err.startswith("numeric error: learner 0")
+        if earlier:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
 
     def test_overflow_in_evaluation_is_numeric_error(self, tmp_path, capsys):
         # Parameters stay finite here while evaluation overflows; that must

@@ -1,5 +1,6 @@
 """Unit tests for the dense classifier: init, forward, pseudolabels, SGD."""
 
+import contextlib
 import copy
 import math
 import pickle
@@ -409,24 +410,11 @@ def central_difference_gradient(spec, params, X, y, h=1e-5):
 
 
 class TestViewMemo:
-    """loss_and_gradient keeps each thread's views of its last (spec, params, out) and its buffers per batch size."""
+    """loss_and_gradient binds one step per train_epoch and keeps each thread's buffers per layer widths and batch size."""
 
     @staticmethod
     def step(spec, params, out, blobs):
         return loss_and_gradient(spec, params, blobs.X[:20], blobs.y[:20], out=out)
-
-    def test_same_pair_gets_same_views(self, small_spec, small_blobs):
-        params = init_learner(small_spec, 0).params
-        out = np.empty_like(params)
-        self.step(small_spec, params, out, small_blobs)
-        first = nn._scratch.last
-        layers, grads = first.layers, first.grads
-        self.step(small_spec, params, out, small_blobs)
-        assert nn._scratch.last is first and first.layers is layers and first.grads is grads
-        assert first.spec is small_spec and first.params is params and first.out is out
-        w, _ = first.layers[0]
-        gw, _ = first.grads[0]
-        assert np.shares_memory(w, params) and np.shares_memory(gw, out)
 
     def test_in_place_param_edit_shows_in_next_call(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
@@ -440,20 +428,18 @@ class TestViewMemo:
     def test_new_out_buffer_gets_fresh_views(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         self.step(small_spec, params, np.empty_like(params), small_blobs)
-        first_grads = nn._scratch.last.grads
         out = np.full_like(params, np.nan)
         _, grad = self.step(small_spec, params, out, small_blobs)
-        assert grad is out and nn._scratch.last.out is out
-        assert nn._scratch.last.grads is not first_grads
+        assert grad is out
         assert np.array_equal(out, self.step(small_spec, params, None, small_blobs)[1])
 
     def test_no_out_gets_a_fresh_gradient_from_the_kept_buffers(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         loss, grad = self.step(small_spec, params, out, small_blobs)
-        kept = nn._scratch.last
+        kept = nn._scratch.rows[small_spec.layer_widths, 20]
         fresh = [self.step(small_spec, params, None, small_blobs) for _ in range(2)]
-        assert nn._scratch.last is kept
+        assert nn._scratch.rows[small_spec.layer_widths, 20] is kept
         assert not np.shares_memory(fresh[0][1], fresh[1][1]) and fresh[1][1] is not out
         for fresh_loss, fresh_grad in fresh:
             assert fresh_loss == loss and np.array_equal(fresh_grad, grad)
@@ -468,11 +454,10 @@ class TestViewMemo:
         params = strided(init_learner(small_spec, 0).params)
         assert not params.flags.c_contiguous
         out = np.empty(n)
+        assert all(np.shares_memory(w, params) for w, _ in nn._Step(small_spec, params, out).layers)
         expected = self.step(small_spec, params.copy(), None, small_blobs)
         for _ in range(2):
             loss, grad = self.step(small_spec, params, out, small_blobs)
-            step = nn._scratch.last
-            assert step.params is params and all(np.shares_memory(w, params) for w, _ in step.layers)
             assert loss == expected[0] and np.array_equal(grad, expected[1])
         # An edit through the strided view shows in the next call.
         params[:] = init_learner(small_spec, 1).params
@@ -485,26 +470,23 @@ class TestViewMemo:
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         self.step(small_spec, params, out, small_blobs)
-        mine = nn._scratch.last
         X = np.random.default_rng(0).normal(size=(9, 6))
         y = np.arange(9) % 3
         loss, grad = loss_and_gradient(other, params, X, y, out=out)
-        assert nn._scratch.last.spec is other and mine.spec is small_spec
-        assert nn._scratch.last.layers[0][0].shape == (6, 4)
-        assert mine.layers[0][0].shape == (4, 5)
+        assert nn._Step(other, params, out).layers[0][0].shape == (6, 4)
         fresh_loss, fresh_grad = loss_and_gradient(other, params.copy(), X, y)
         assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
 
-    def test_a_step_keeps_buffers_for_at_most_eight_batch_sizes(self, small_spec, small_blobs):
+    def test_a_thread_keeps_buffers_for_at_most_eight_batch_sizes(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         for rows in range(1, 11):
             loss, grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows], out=out)
             fresh_loss, fresh_grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows])
             assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
-            assert len(nn._scratch.last.batches) <= 8 and nn._scratch.last.n == rows
+            assert len(nn._scratch.rows) <= 8 and (small_spec.layer_widths, rows) in nn._scratch.rows
 
-    def test_a_thread_keeps_at_most_eight_steps(self, small_blobs):
+    def test_a_thread_keeps_buffers_for_at_most_eight_layer_layouts(self, small_blobs):
         X, y = small_blobs.X[:20], small_blobs.y[:20]
         for hidden in range(1, 11):
             spec = ModelSpec(layer_widths=(4, hidden, 3))
@@ -512,25 +494,46 @@ class TestViewMemo:
             loss, grad = loss_and_gradient(spec, params, X, y, out=np.empty_like(params))
             fresh_loss, fresh_grad = loss_and_gradient(spec, params, X, y)
             assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
-            assert len(nn._scratch.steps) <= 8 and nn._scratch.steps[spec.layer_widths] is nn._scratch.last
+            assert len(nn._scratch.rows) <= 8 and (spec.layer_widths, 20) in nn._scratch.rows
 
     def test_an_epoch_binds_its_parameters_once(self, small_spec, monkeypatch):
         # 600 rows at batch 32: 18 full batches and a tail of 24 rows.
         ds = gen_blobs(n_per_class=200, K=3, d=4, centers_scale=2.0, noise_sigma=0.5, seed=5)
-        learner, binds, views = init_learner(small_spec, 0), [], []
-        bind, step = nn._Step.bind, nn.loss_and_gradient
-        monkeypatch.setattr(nn._Step, "bind", lambda *args: binds.append(args[2]) or bind(*args))
+        learner, binds, checks, views = init_learner(small_spec, 0), [], [], []
+        bind, check, step = nn._Step.__init__, nn.check_labels, nn.loss_and_gradient
+        monkeypatch.setattr(nn._Step, "__init__", lambda *args: binds.append(args[2]) or bind(*args))
+        monkeypatch.setattr(nn, "check_labels", lambda *args: checks.append(args) or check(*args))
 
         def spy(*args, **kwargs):
             result = step(*args, **kwargs)
-            views.append((nn._scratch.last.n, nn._scratch.last.layers))
+            views.append((nn._scratch.epoch.n, nn._scratch.epoch.layers))
             return result
 
         monkeypatch.setattr(nn, "loss_and_gradient", spy)
         train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.1, 32), warmup_stream(small_spec, 0))
         assert [n for n, _ in views] == [32] * 18 + [24]
-        assert len(binds) == 1 and binds[0] is learner.params
+        assert len(binds) == 1 and binds[0] is learner.params and len(checks) == 1
         assert all(layers is views[0][1] for _, layers in views)
+        assert nn._scratch.epoch is None
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returned", "raised"])
+    def test_an_epochs_buffer_is_checked_once_the_epoch_ends(self, small_spec, small_blobs, hp, monkeypatch, raises):
+        learner, outs, step = init_learner(small_spec, 0), [], nn.loss_and_gradient
+
+        def spy(*args, out, **kwargs):
+            outs.append(out)
+            if raises and len(outs) == 2:
+                raise RuntimeError("stopped mid-epoch")
+            return step(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(nn, "loss_and_gradient", spy)
+        with pytest.raises(RuntimeError, match="mid-epoch") if raises else contextlib.nullcontext():
+            train_epoch(learner, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0))
+        assert nn._scratch.epoch is None
+        X = small_blobs.X[: hp.batch_size]
+        for labels in ([3] * len(X), [-1] * len(X), [1], 1, [0.5] * len(X)):
+            with pytest.raises(ValueError, match="labels"):
+                step(small_spec, learner.params, X, labels, out=outs[-1])
 
     def test_wrong_shape_still_raises(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
@@ -555,11 +558,11 @@ class TestViewMemo:
         ids=["strided", "float32", "row_matrix"],
     )
     def test_unfit_out_buffer_is_rejected_naming_out(self, small_spec, small_blobs, make_out):
-        before = nn._scratch.last
+        before = dict(nn._scratch.rows)
         params = init_learner(small_spec, 0).params
         with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 flat vector"):
             self.step(small_spec, params, make_out(len(params)), small_blobs)
-        assert nn._scratch.last is before
+        assert nn._scratch.rows == before
 
     def test_copies_of_a_trained_spec_carry_no_arrays(self, small_spec, small_blobs, hp):
         learner = init_learner(small_spec, 0)
@@ -626,18 +629,22 @@ class TestGradient:
         [
             ((4, 4), [3, 0, 1, 2], r"must lie in \[0, 3\)"),
             ((4, 4), [-1, 0, 1, 2], r"must lie in \[0, 3\)"),
+            ((4, 4), [0.5, 0, 1, 2], r"must be whole numbers, found 0.5"),
             ((4, 4), [1], "4 rows but labels of shape"),
             ((4, 4), 1, "4 rows but labels of shape"),
             ((0, 4), [], r"^a batch needs at least one row, got shape \(0, 4\)$"),
             ((2, 7), [0, 1], r"^expected rows of width 4, got shape \(2, 7\)$"),
             ((4,), [1], r"^expected rows of width 4, got shape \(4,\)$"),
         ],
-        ids=["above_K", "negative", "one_label", "scalar", "empty_batch", "wide_rows", "one_vector"],
+        ids=["above_K", "negative", "fractional", "one_label", "scalar", "empty_batch", "wide_rows", "one_vector"],
     )
-    @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+    @pytest.mark.parametrize("with_out", ["fresh", "out", "repeated_out"])
     def test_bad_labels_are_rejected(self, small_spec, shape, labels, message, with_out):
         params = init_learner(small_spec, 0).params
-        out = np.empty_like(params) if with_out else None
+        out = None if with_out == "fresh" else np.empty_like(params)
+        if with_out == "repeated_out":
+            # A good call on the same arrays first: the next one must not skip its checks.
+            loss_and_gradient(small_spec, params, np.ones((4, 4)), [0, 1, 2, 0], out=out)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
