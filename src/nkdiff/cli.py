@@ -164,6 +164,11 @@ def build_experiments(config: dict) -> list[ExperimentConfig]:
     """
     if config["seeds"] < 1:
         raise ConfigurationError("seeds must be at least 1")
+    # Seed i runs at master seed master_seed + i, which must be a Seed too.
+    if config["master_seed"] + config["seeds"] - 1 > 2**63 - 1:
+        raise ConfigurationError(
+            f"master_seed + seeds - 1 must be at most 2**63 - 1, got {config['master_seed']} + {config['seeds']} - 1"
+        )
     noise, random_labels = config["noise"], config["random_labels"]
     if noise and random_labels:
         raise ConfigurationError("noise and random_labels are mutually exclusive")
@@ -237,22 +242,27 @@ def format_agg_csv(agg: AggregateSeries) -> str:
     return _csv(header, rows)
 
 
-def execute_run(
-    config: dict,
-    out_dir: Path,
-    experiments: list[ExperimentConfig],
-    datasets: tuple[Dataset, Dataset, Dataset] | None = None,
-) -> AggregateSeries:
-    """Run the per-seed experiments of a checked config, write its output directory
-    and return the seed aggregate that ``agg.csv`` holds.
+def _check_out(out_dir: Path) -> None:
+    """Raise NotADirectoryError unless the nearest of out_dir and its ancestors that exists is a directory."""
+    path = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not path.is_dir():
+        raise NotADirectoryError(f"output directory {out_dir} cannot be made: {path} is not a directory")
 
-    ``datasets`` may give the config's (train, val, test) already built and
-    not yet corrupted. Every seed runs, and the aggregate is built, before
-    out_dir is created or written: a run that fails leaves it as it was.
-    """
+
+def _run_seeds(
+    experiments: list[ExperimentConfig], datasets: tuple[Dataset, Dataset, Dataset] | None = None
+) -> tuple[list, AggregateSeries]:
+    """The records of each seed's run of a checked config, and their seed aggregate; writes nothing.
+    ``datasets`` may give the config's (train, val, test) already built and not yet corrupted."""
     data = prepare_data(experiments[0], datasets)
     runs = [run_experiment(cfg, data=data) for cfg in experiments]
-    agg = aggregate_seeds(runs)
+    return runs, aggregate_seeds(runs)
+
+
+def _write_run(
+    config: dict, out_dir: Path, experiments: list[ExperimentConfig], runs: list, agg: AggregateSeries
+) -> None:
+    """Write the output directory of a run that has finished: its CSVs and its manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for cfg, records in zip(experiments, runs):
         _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
@@ -264,6 +274,19 @@ def execute_run(
         "out_dir": str(out_dir),
     }
     _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def execute_run(config: dict, out_dir: Path, experiments: list[ExperimentConfig]) -> AggregateSeries:
+    """Run the per-seed experiments of a checked config, write its output directory
+    and return the seed aggregate that ``agg.csv`` holds.
+
+    An out_dir that cannot be made a directory is refused before any seed
+    trains. Every seed runs, and the aggregate is built, before out_dir is
+    created or written: a run that fails leaves it as it was.
+    """
+    _check_out(out_dir)
+    runs, agg = _run_seeds(experiments)
+    _write_run(config, out_dir, experiments, runs, agg)
     return agg
 
 
@@ -301,13 +324,17 @@ def cmd_sweep(config: dict) -> int:
     if not planned:
         raise ConfigurationError("sweep produced no valid cells")
 
-    # No axis changes the dataset, so it is built once, before anything is
-    # written; each cell applies its own label corruption to it.
-    datasets = build_datasets(planned[0][2][0].dataset)
     out_dir = Path(config.get("out") or "out")
+    for path in (out_dir, *(out_dir / name for name, _, _ in planned)):
+        _check_out(path)
+    # No axis changes the dataset, so it is built once; each cell applies its
+    # own label corruption to it. Every cell runs, and its aggregate is built,
+    # before the first write: a sweep that fails leaves out_dir as it was.
+    datasets = build_datasets(planned[0][2][0].dataset)
+    results = [_run_seeds(experiments, datasets) for _, _, experiments in planned]
     rows = []
-    for name, cell, experiments in planned:
-        agg = execute_run(cell, out_dir / name, experiments, datasets)
+    for (name, cell, experiments), (runs, agg) in zip(planned, results):
+        _write_run(cell, out_dir / name, experiments, runs, agg)
         alacc, ensacc = agg.mean["alacc_test"], agg.mean["ensacc_test"]
         rows.append([name, cell["policy"], cell["c"], int(cell["pretrain"]), float(cell["noise"]),
                      int(agg.rounds[-1]), alacc[-1], ensacc[-1], alacc.max(), ensacc.max()])

@@ -53,7 +53,7 @@ def _is_number(value) -> bool:
 # error. The library types check their fields by it, and the CLI its JSON values.
 KINDS = {
     "int": (_is_int, "a 64-bit integer"),
-    "Seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "Seed": (lambda v: _is_int(v) and v >= 0, "a non-negative 64-bit integer"),
     "float": (_is_number, "a number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),

@@ -322,20 +322,10 @@ class _Rows:
         self.below = [(a.T, np.empty_like(a), np.empty_like(a), a) for a in self.hidden[::-1]]
 
 
-def _kept(kept: dict, key, make):
-    """``kept[key]``, made by ``make()`` if missing. Past 8 entries the dict is emptied, so a
-    caller cycling through many keys rebuilds entries instead of growing without bound."""
-    if key not in kept:
-        if len(kept) >= 8:
-            kept.clear()
-        kept[key] = make()
-    return kept[key]
-
-
 class _Step:
     """An SGD step over (spec, params, out): the (W, b) views of each layer, their gradient views in
-    ``out`` and the transposed weights, bound once; ``use`` swaps in the thread's buffers for ``n``
-    rows and zips them with those views. Raises ValueError unless ``out`` fits ``spec``."""
+    ``out`` and the transposed weights, bound once; ``use`` builds the buffers for ``n`` rows and
+    zips them with those views. Raises ValueError unless ``out`` fits ``spec``."""
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, out: np.ndarray):
         if not (out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous):
@@ -350,21 +340,14 @@ class _Step:
         self.views_below = [(*grads[i], layers[i][0].T) for i in range(len(layers) - 1, 0, -1)]
 
     def use(self, n: int) -> None:
-        rows = self.rows = _kept(_scratch.rows, (self.widths, n), lambda: _Rows(self.widths, n))
+        rows = self.rows = _Rows(self.widths, n)
         self.n = n
         self.forward = [(w, b, z) for (w, b), z in zip(self.layers, rows.hidden)]
         self.backward = [(a_t, *views, delta, sign, a) for views, (a_t, delta, sign, a) in zip(self.views_below, rows.below)]
 
 
-class _Scratch(threading.local):
-    """One thread's SGD buffers by (layer widths, batch size), and the step of the epoch it is running."""
-
-    def __init__(self):
-        self.rows: dict[tuple[tuple[int, ...], int], _Rows] = {}
-        self.epoch: _Step | None = None
-
-
-_scratch = _Scratch()
+# ``epoch``: the step of the epoch this thread is running, if any; see train_epoch.
+_scratch = threading.local()
 
 
 def loss_and_gradient(
@@ -390,11 +373,11 @@ def loss_and_gradient(
     rows and labels it has checked for the whole epoch.
 
     Every intermediate is written into a buffer sized for the batch, which
-    the calling thread keeps per layer widths and batch size. Each thread has
-    its own buffers, so threads may train at once, even learners of one spec,
+    the call, or the epoch it belongs to, builds and drops. Each thread runs
+    its own epoch, so threads may train at once, even learners of one spec,
     as long as no two of them pass the same ``params`` or ``out``.
     """
-    step = _scratch.epoch
+    step = getattr(_scratch, "epoch", None)
     if step is None or out is not step.out:
         X = np.asarray(X, dtype=np.float64)
         _check_rows(X, spec.input_dim)
@@ -480,7 +463,7 @@ def train_epoch(
     total = 0.0
     # Rows and labels are checked above, so the batches that pass ``grad`` skip
     # the checks; only while this loop runs, and with one bind for all of them.
-    outer, _scratch.epoch = _scratch.epoch, _Step(learner.spec, params, grad)
+    outer, _scratch.epoch = getattr(_scratch, "epoch", None), _Step(learner.spec, params, grad)
     try:
         # Divergence is reported once, by the check below, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):

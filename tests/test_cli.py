@@ -323,11 +323,20 @@ class TestRun:
         assert err == "config error: blobs features hold NaN or infinite values\n"
         assert not out.exists()
 
-    def test_unwritable_out_dir_is_io_error(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["out_is_a_file", "out_below_a_file"])
+    def test_unwritable_out_dir_is_io_error(self, tmp_path, monkeypatch, capsys, command, below):
+        def no_seed_may_train(cfg, data):
+            raise AssertionError(f"seed {cfg.master_seed} trained before out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_seed_may_train)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        code = main(fast_args(tmp_path)[:-1] + [str(blocker / "sub")])
-        assert code == EXIT_IO
+        out = blocker / "sub" if below else blocker
+        assert main([command, *fast_args(tmp_path)[1:-1], str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: output directory {out} cannot be made: {blocker} is not a directory\n"
+        assert blocker.read_text() == "a file, not a directory"
 
     def test_idx_dataset_end_to_end(self, tmp_path):
         paths = write_idx_files(tmp_path)
@@ -528,6 +537,25 @@ class TestSweep:
                 assert row[f"final_{metric}"] == final[f"{metric}_mean"] == "0.600000"
                 assert float(row[f"final_{metric}"]) <= float(row[f"best_{metric}"])
 
+    def test_a_failed_sweep_leaves_its_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        path = self.sweep_config(tmp_path, {"rounds": 3, "seeds": 1, "policies": ["oo", "btb"]})
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        run = cli.run_experiment
+
+        def btb_diverges(cfg, data):
+            if cfg.policy == "btb":
+                raise NonFiniteError(f"learner 0 diverged (seed {cfg.master_seed}, round 1)")
+            return run(cfg, data=data)
+
+        monkeypatch.setattr(cli, "run_experiment", btb_diverges)
+        # A new first cell, and fewer rounds: each file the failed sweep wrote would differ.
+        path = self.sweep_config(tmp_path, {"rounds": 2, "seeds": 1, "policies": ["eq", "oo", "btb"]})
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error: learner 0 diverged")
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
     def test_summary_row_count_matches_valid_cells(self, tmp_path):
         path = self.sweep_config(
             tmp_path, {"policies": ["btb"], "capacities": [2, 5], "noise_levels": [0.0, 0.4]}
@@ -661,7 +689,9 @@ class TestBadInputs:
             ("run", {"idx": STR_IDX_PATHS}, "idx section"),
             ("sweep", {"idx": STR_IDX_PATHS, "policies": ["btb", "oo"]}, "idx section"),
             ("run", {"noise": 0.2, "noise_seed": -1}, "seed"),
-            ("run", {"master_seed": 2**63 - 1, "seeds": 2}, "master_seed"),
+            ("run", {"master_seed": 2**63 - 1, "seeds": 2},
+             "master_seed + seeds - 1 must be at most 2**63 - 1, got 9223372036854775807 + 2 - 1"),
+            ("run", {"master_seed": -1}, "master_seed must be a non-negative 64-bit integer, got -1"),
         ],
         ids=[
             "blobs_n_per_class_float",
@@ -693,6 +723,7 @@ class TestBadInputs:
             "sweep_idx_section_for_blobs",
             "noise_seed_negative",
             "second_master_seed_beyond_int64",
+            "master_seed_negative",
         ],
     )
     def test_exits_2_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys, command, bad, named):

@@ -2,12 +2,14 @@
 
 import contextlib
 import copy
+import gc
 import math
 import pickle
 import re
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -54,7 +56,7 @@ class TestModelSpec:
 
     @pytest.mark.parametrize("seed", [1.5, True, "3", None, -1])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be a non-negative 64-bit integer"):
             ModelSpec(layer_widths=(4, 5, 3), seed=seed)
 
     def test_numpy_integer_widths_become_ints(self):
@@ -410,7 +412,7 @@ def central_difference_gradient(spec, params, X, y, h=1e-5):
 
 
 class TestViewMemo:
-    """loss_and_gradient binds one step per train_epoch and keeps each thread's buffers per layer widths and batch size."""
+    """loss_and_gradient binds one step per train_epoch; each step builds its own buffers and keeps none past its epoch or call."""
 
     @staticmethod
     def step(spec, params, out, blobs):
@@ -433,13 +435,11 @@ class TestViewMemo:
         assert grad is out
         assert np.array_equal(out, self.step(small_spec, params, None, small_blobs)[1])
 
-    def test_no_out_gets_a_fresh_gradient_from_the_kept_buffers(self, small_spec, small_blobs):
+    def test_no_out_gets_a_fresh_gradient(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         loss, grad = self.step(small_spec, params, out, small_blobs)
-        kept = nn._scratch.rows[small_spec.layer_widths, 20]
         fresh = [self.step(small_spec, params, None, small_blobs) for _ in range(2)]
-        assert nn._scratch.rows[small_spec.layer_widths, 20] is kept
         assert not np.shares_memory(fresh[0][1], fresh[1][1]) and fresh[1][1] is not out
         for fresh_loss, fresh_grad in fresh:
             assert fresh_loss == loss and np.array_equal(fresh_grad, grad)
@@ -477,16 +477,15 @@ class TestViewMemo:
         fresh_loss, fresh_grad = loss_and_gradient(other, params.copy(), X, y)
         assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
 
-    def test_a_thread_keeps_buffers_for_at_most_eight_batch_sizes(self, small_spec, small_blobs):
+    def test_every_batch_size_matches_a_fresh_gradient(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params
         out = np.empty_like(params)
         for rows in range(1, 11):
             loss, grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows], out=out)
             fresh_loss, fresh_grad = loss_and_gradient(small_spec, params, small_blobs.X[:rows], small_blobs.y[:rows])
             assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
-            assert len(nn._scratch.rows) <= 8 and (small_spec.layer_widths, rows) in nn._scratch.rows
 
-    def test_a_thread_keeps_buffers_for_at_most_eight_layer_layouts(self, small_blobs):
+    def test_every_layer_layout_matches_a_fresh_gradient(self, small_blobs):
         X, y = small_blobs.X[:20], small_blobs.y[:20]
         for hidden in range(1, 11):
             spec = ModelSpec(layer_widths=(4, hidden, 3))
@@ -494,7 +493,6 @@ class TestViewMemo:
             loss, grad = loss_and_gradient(spec, params, X, y, out=np.empty_like(params))
             fresh_loss, fresh_grad = loss_and_gradient(spec, params, X, y)
             assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
-            assert len(nn._scratch.rows) <= 8 and (spec.layer_widths, 20) in nn._scratch.rows
 
     def test_an_epoch_binds_its_parameters_once(self, small_spec, monkeypatch):
         # 600 rows at batch 32: 18 full batches and a tail of 24 rows.
@@ -515,6 +513,24 @@ class TestViewMemo:
         assert len(binds) == 1 and binds[0] is learner.params and len(checks) == 1
         assert all(layers is views[0][1] for _, layers in views)
         assert nn._scratch.epoch is None
+
+    def test_no_buffers_outlive_their_epoch_or_call(self, small_spec, small_blobs, monkeypatch):
+        built, rows = [], nn._Rows
+
+        def tracked(widths, n):
+            made = rows(widths, n)
+            built.append((n, weakref.ref(made)))
+            return made
+
+        monkeypatch.setattr(nn, "_Rows", tracked)
+        learner = init_learner(small_spec, 0)
+        # 600 rows at batch 32: a 32-row step and a 24-row step for the short last batch.
+        ds = gen_blobs(n_per_class=200, K=3, d=4, centers_scale=2.0, noise_sigma=0.5, seed=5)
+        train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.1, 32), warmup_stream(small_spec, 0))
+        loss_and_gradient(small_spec, learner.params, ds.X[:20], ds.y[:20], out=np.empty_like(learner.params))
+        gc.collect()
+        assert [n for n, _ in built] == [32, 24, 20]
+        assert all(ref() is None for _, ref in built)
 
     @pytest.mark.parametrize("raises", [False, True], ids=["returned", "raised"])
     def test_an_epochs_buffer_is_checked_once_the_epoch_ends(self, small_spec, small_blobs, hp, monkeypatch, raises):
@@ -558,11 +574,9 @@ class TestViewMemo:
         ids=["strided", "float32", "row_matrix"],
     )
     def test_unfit_out_buffer_is_rejected_naming_out(self, small_spec, small_blobs, make_out):
-        before = dict(nn._scratch.rows)
         params = init_learner(small_spec, 0).params
         with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 flat vector"):
             self.step(small_spec, params, make_out(len(params)), small_blobs)
-        assert nn._scratch.rows == before
 
     def test_copies_of_a_trained_spec_carry_no_arrays(self, small_spec, small_blobs, hp):
         learner = init_learner(small_spec, 0)
