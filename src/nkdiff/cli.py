@@ -242,11 +242,21 @@ def format_agg_csv(agg: AggregateSeries) -> str:
     return _csv(header, rows)
 
 
-def _check_out(out_dir: Path) -> None:
-    """Raise NotADirectoryError unless the nearest of out_dir and its ancestors that exists is a directory."""
+def _check_out(out_dir: Path, names: list[str]) -> None:
+    """Raise NotADirectoryError unless the nearest of out_dir and its ancestors that exists is a
+    directory, and IsADirectoryError if a file ``names`` lists in out_dir is one."""
     path = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
     if not path.is_dir():
         raise NotADirectoryError(f"output directory {out_dir} cannot be made: {path} is not a directory")
+    for file in (out_dir / name for name in names):
+        # A symlink is replaced, not followed, so only a real directory stops the write.
+        if file.is_dir() and not file.is_symlink():
+            raise IsADirectoryError(f"output file {file} is a directory")
+
+
+def _run_files(experiments: list[ExperimentConfig]) -> list[str]:
+    """The files of a run's output directory: each seed's CSV, then agg.csv and manifest.json."""
+    return [*(f"run_{cfg.master_seed}.csv" for cfg in experiments), "agg.csv", "manifest.json"]
 
 
 def _run_seeds(
@@ -263,28 +273,28 @@ def _write_run(
     config: dict, out_dir: Path, experiments: list[ExperimentConfig], runs: list, agg: AggregateSeries
 ) -> None:
     """Write the output directory of a run that has finished: its CSVs and its manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for cfg, records in zip(experiments, runs):
-        _write_atomic(out_dir / f"run_{cfg.master_seed}.csv", format_run_csv(records))
-    _write_atomic(out_dir / "agg.csv", format_agg_csv(agg))
     manifest = {
         "config": {k: v for k, v in config.items() if k != "out"},
         "config_hash": config_hash(config),
         "seeds": [cfg.master_seed for cfg in experiments],
         "out_dir": str(out_dir),
     }
-    _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    texts = [*map(format_run_csv, runs), format_agg_csv(agg), json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in zip(_run_files(experiments), texts):
+        _write_atomic(out_dir / name, text)
 
 
 def execute_run(config: dict, out_dir: Path, experiments: list[ExperimentConfig]) -> AggregateSeries:
     """Run the per-seed experiments of a checked config, write its output directory
     and return the seed aggregate that ``agg.csv`` holds.
 
-    An out_dir that cannot be made a directory is refused before any seed
-    trains. Every seed runs, and the aggregate is built, before out_dir is
-    created or written: a run that fails leaves it as it was.
+    An out_dir that cannot be made a directory, or that holds a directory
+    where a file will go, is refused before any seed trains. Every seed
+    runs, and the aggregate is built, before out_dir is created or written:
+    a run that fails leaves it as it was.
     """
-    _check_out(out_dir)
+    _check_out(out_dir, _run_files(experiments))
     runs, agg = _run_seeds(experiments)
     _write_run(config, out_dir, experiments, runs, agg)
     return agg
@@ -325,8 +335,9 @@ def cmd_sweep(config: dict) -> int:
         raise ConfigurationError("sweep produced no valid cells")
 
     out_dir = Path(config.get("out") or "out")
-    for path in (out_dir, *(out_dir / name for name, _, _ in planned)):
-        _check_out(path)
+    _check_out(out_dir, ["summary.csv"])
+    for name, _, experiments in planned:
+        _check_out(out_dir / name, _run_files(experiments))
     # No axis changes the dataset, so it is built once; each cell applies its
     # own label corruption to it. Every cell runs, and its aggregate is built,
     # before the first write: a sweep that fails leaves out_dir as it was.

@@ -8,7 +8,6 @@ is plain mini-batch SGD on cross-entropy with analytic backprop.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -300,32 +299,10 @@ def pseudolabels(teacher: Learner | Oracle, X: np.ndarray) -> np.ndarray:
     return predict(teacher, X)
 
 
-class _Rows:
-    """The buffers of an SGD step over ``n`` rows of one layer layout, each exactly sized."""
-
-    def __init__(self, widths: tuple[int, ...], n: int):
-        K = widths[-1]
-        # The divisor as a float64 scalar: numpy divides by it with less dispatch than by an int.
-        self.count = np.float64(n)
-        self.hidden = [np.empty((n, w)) for w in widths[1:-1]]
-        self.logits = np.empty((n, K))
-        self.flat = self.logits.reshape(-1)
-        self.class_major = np.empty((K, n))
-        self.row_max = np.empty(n)
-        self.row_max_column = self.row_max[:, None]
-        self.exp = np.empty((n, K))
-        self.sums = np.empty((n, 1))
-        self.offsets = np.arange(0, n * K, K)
-        self.picks = np.empty(n, dtype=np.int64)
-        # Layers L-1 down to 1: their input activations, also transposed for the
-        # weight gradient, and the delta and ReLU-sign buffers of the layer below.
-        self.below = [(a.T, np.empty_like(a), np.empty_like(a), a) for a in self.hidden[::-1]]
-
-
 class _Step:
     """An SGD step over (spec, params, out): the (W, b) views of each layer, their gradient views in
-    ``out`` and the transposed weights, bound once; ``use`` builds the buffers for ``n`` rows and
-    zips them with those views. Raises ValueError unless ``out`` fits ``spec``."""
+    ``out`` and the transposed weights, bound once; ``use`` builds exactly sized buffers for ``n`` rows
+    and zips them with those views. Raises ValueError unless ``out`` fits ``spec``."""
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, out: np.ndarray):
         if not (out.dtype == np.float64 and out.shape == (spec._n_params,) and out.flags.c_contiguous):
@@ -340,14 +317,25 @@ class _Step:
         self.views_below = [(*grads[i], layers[i][0].T) for i in range(len(layers) - 1, 0, -1)]
 
     def use(self, n: int) -> None:
-        rows = self.rows = _Rows(self.widths, n)
+        K = self.widths[-1]
+        hidden = [np.empty((n, w)) for w in self.widths[1:-1]]
         self.n = n
-        self.forward = [(w, b, z) for (w, b), z in zip(self.layers, rows.hidden)]
-        self.backward = [(a_t, *views, delta, sign, a) for views, (a_t, delta, sign, a) in zip(self.views_below, rows.below)]
-
-
-# ``epoch``: the step of the epoch this thread is running, if any; see train_epoch.
-_scratch = threading.local()
+        # The divisor as a float64 scalar: numpy divides by it with less dispatch than by an int.
+        self.count = np.float64(n)
+        self.logits = np.empty((n, K))
+        self.flat = self.logits.reshape(-1)
+        self.class_major = np.empty((K, n))
+        self.row_max = np.empty(n)
+        self.row_max_column = self.row_max[:, None]
+        self.exp = np.empty((n, K))
+        self.sums = np.empty((n, 1))
+        self.offsets = np.arange(0, n * K, K)
+        self.picks = np.empty(n, dtype=np.int64)
+        self.forward = [(w, b, z) for (w, b), z in zip(self.layers, hidden)]
+        # Layers L-1 down to 1: input activations, also transposed for the weight gradient, the
+        # gradient views, and the delta and ReLU-sign buffers of the layer below.
+        below = zip(self.views_below, hidden[::-1])
+        self.backward = [(a.T, *views, np.empty(a.shape), np.empty(a.shape), a) for views, a in below]
 
 
 def loss_and_gradient(
@@ -368,27 +356,27 @@ def loss_and_gradient(
 
     ``X`` must be a matrix of at least one row of ``spec.input_dim`` columns,
     and ``labels`` are checked by ``check_labels`` (one per row of X, in
-    [0, K)); both raise ValueError otherwise. Every call checks them, except
-    the batches ``train_epoch`` passes with its own gradient buffer, whose
-    rows and labels it has checked for the whole epoch.
+    [0, K)); both raise ValueError otherwise. Every call with an ndarray
+    ``out``, or none, checks them and copies X to C-contiguous float64 if it
+    is not, so its memory layout never changes a bit of the result. Only
+    ``train_epoch``'s batches, which pass its private step as ``out``, skip this.
 
     Every intermediate is written into a buffer sized for the batch, which
-    the call, or the epoch it belongs to, builds and drops. Each thread runs
-    its own epoch, so threads may train at once, even learners of one spec,
-    as long as no two of them pass the same ``params`` or ``out``.
+    the call, or the epoch it belongs to, builds and drops. ``nn`` keeps no
+    module state, so threads may train different learners at once, as long
+    as no two of them pass the same ``params`` or ``out``.
     """
-    step = getattr(_scratch, "epoch", None)
-    if step is None or out is not step.out:
-        X = np.asarray(X, dtype=np.float64)
+    if not isinstance(out, _Step):
+        X = np.ascontiguousarray(X, dtype=np.float64)
         _check_rows(X, spec.input_dim)
         if not len(X):
             raise ValueError(f"a batch needs at least one row, got shape {X.shape}")
         labels = check_labels(labels, spec.n_classes, len(X))
-        step = _Step(spec, params, np.empty(spec._n_params) if out is None else out)
+        out = _Step(spec, params, np.empty(spec._n_params) if out is None else out)
+    step = out
     if len(X) != step.n:
         step.use(len(X))
 
-    rows = step.rows
     a = X
     for w, b, z in step.forward:
         a.dot(w, out=z)
@@ -397,28 +385,28 @@ def loss_and_gradient(
         np.maximum(z, 0.0, out=z)
         a = z
     w, b = step.head
-    log_probs = rows.logits
+    log_probs = step.logits
     a.dot(w, out=log_probs)
     log_probs += b
 
     # Stable log-softmax, computed in place over the logits. The row maxima
     # reduce a class-major copy along its first axis, which numpy vectorizes
     # across rows; a max is exact, so the order does not matter.
-    rows.class_major[...] = log_probs.T
-    np.maximum.reduce(rows.class_major, axis=0, out=rows.row_max)
-    log_probs -= rows.row_max_column
-    np.exp(log_probs, out=rows.exp)
-    np.add.reduce(rows.exp, axis=1, keepdims=True, out=rows.sums)
-    np.log(rows.sums, out=rows.sums)
-    log_probs -= rows.sums
+    step.class_major[...] = log_probs.T
+    np.maximum.reduce(step.class_major, axis=0, out=step.row_max)
+    log_probs -= step.row_max_column
+    np.exp(log_probs, out=step.exp)
+    np.add.reduce(step.exp, axis=1, keepdims=True, out=step.sums)
+    np.log(step.sums, out=step.sums)
+    log_probs -= step.sums
     # Each row's label as a flat position: 1-D take and subtract, not 2-D fancy indexing.
-    picks, flat = rows.picks, rows.flat
-    np.add(rows.offsets, labels, out=picks)
-    loss = float(-(np.add.reduce(flat.take(picks)) / rows.count))
+    picks, flat = step.picks, step.flat
+    np.add(step.offsets, labels, out=picks)
+    loss = float(-(np.add.reduce(flat.take(picks)) / step.count))
 
     delta = np.exp(log_probs, out=log_probs)
     flat[picks] -= 1.0
-    delta /= rows.count
+    delta /= step.count
 
     for a_t, gw, gb, w_t, below, sign, a in step.backward:
         a_t.dot(delta, out=gw)
@@ -457,25 +445,21 @@ def train_epoch(
     # Rows of X are gathered per batch: a shuffled copy of all of X per
     # epoch would cost a full-size buffer on wide inputs.
     labels = labels[order]
+    # Rows and labels are checked above, so the batches pass this step as ``out``: one bind, no checks.
     params, grad = learner.params, np.empty_like(learner.params)
+    step = _Step(learner.spec, params, grad)
     # A float64 scalar: numpy multiplies by it with less dispatch than by a Python float.
     rate = np.float64(hp.learning_rate)
     total = 0.0
-    # Rows and labels are checked above, so the batches that pass ``grad`` skip
-    # the checks; only while this loop runs, and with one bind for all of them.
-    outer, _scratch.epoch = getattr(_scratch, "epoch", None), _Step(learner.spec, params, grad)
-    try:
-        # Divergence is reported once, by the check below, not as numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, hp.batch_size):
-                stop = start + hp.batch_size
-                batch = X.take(order[start:stop], axis=0)
-                loss, _ = loss_and_gradient(learner.spec, params, batch, labels[start:stop], out=grad)
-                grad *= rate
-                params -= grad
-                total += loss * len(batch)
-    finally:
-        _scratch.epoch = outer
+    # Divergence is reported once, by the check below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, hp.batch_size):
+            stop = start + hp.batch_size
+            batch = X.take(order[start:stop], axis=0)
+            loss, _ = loss_and_gradient(learner.spec, params, batch, labels[start:stop], out=step)
+            grad *= rate
+            params -= grad
+            total += loss * len(batch)
     if not np.isfinite(params).all():
         raise NonFiniteError(
             f"learner {learner.id} has non-finite parameters after training "

@@ -338,6 +338,31 @@ class TestRun:
         assert err == f"i/o error: output directory {out} cannot be made: {blocker} is not a directory\n"
         assert blocker.read_text() == "a file, not a directory"
 
+    @pytest.mark.parametrize("name", ["run_0.csv", "run_1.csv", "agg.csv", "manifest.json"])
+    def test_an_output_file_that_is_a_directory_is_io_error(self, tmp_path, monkeypatch, capsys, name):
+        out = tmp_path / "out"
+        assert main(fast_args(tmp_path)) == EXIT_OK
+        (out / name).unlink()
+        (out / name).mkdir()
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+        def no_seed_may_train(cfg, data):
+            raise AssertionError(f"seed {cfg.master_seed} trained before out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_seed_may_train)
+        assert main([*fast_args(tmp_path), "--rounds", "2"]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: output file {out / name} is a directory\n"
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    def test_a_symlink_to_a_directory_is_replaced_by_its_output_file(self, tmp_path):
+        out, target = tmp_path / "out", tmp_path / "target"
+        target.mkdir()
+        out.mkdir()
+        (out / "agg.csv").symlink_to(target, target_is_directory=True)
+        assert main(fast_args(tmp_path)) == EXIT_OK
+        assert not (out / "agg.csv").is_symlink() and (out / "agg.csv").read_text().startswith("round,")
+        assert target.is_dir() and not any(target.iterdir())
+
     def test_idx_dataset_end_to_end(self, tmp_path):
         paths = write_idx_files(tmp_path)
         config = {
@@ -554,6 +579,26 @@ class TestSweep:
         path = self.sweep_config(tmp_path, {"rounds": 2, "seeds": 1, "policies": ["eq", "oo", "btb"]})
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("numeric error: learner 0 diverged")
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    @pytest.mark.parametrize("pattern", ["summary.csv", "oo_*/run_0.csv", "btb_*/agg.csv", "btb_*/manifest.json"])
+    def test_an_output_file_that_is_a_directory_is_io_error(self, tmp_path, monkeypatch, capsys, pattern):
+        out = tmp_path / "out"
+        path = self.sweep_config(tmp_path, {"rounds": 3, "seeds": 1, "policies": ["oo", "btb"]})
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        [blocked] = out.glob(pattern)
+        blocked.unlink()
+        blocked.mkdir()
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+        def no_seed_may_train(cfg, data):
+            raise AssertionError(f"seed {cfg.master_seed} trained before out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_seed_may_train)
+        # Fewer rounds: each file a sweep that went ahead wrote would differ.
+        path = self.sweep_config(tmp_path, {"rounds": 2, "seeds": 1, "policies": ["oo", "btb"]})
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: output file {blocked} is a directory\n"
         assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
 
     def test_summary_row_count_matches_valid_cells(self, tmp_path):

@@ -411,8 +411,9 @@ def central_difference_gradient(spec, params, X, y, h=1e-5):
     return grad
 
 
-class TestViewMemo:
-    """loss_and_gradient binds one step per train_epoch; each step builds its own buffers and keeps none past its epoch or call."""
+class TestSgdStep:
+    """train_epoch passes one private step per epoch to loss_and_gradient as ``out``; only that step
+    skips the checks, and it builds its own buffers and keeps none past its epoch or call."""
 
     @staticmethod
     def step(spec, params, out, blobs):
@@ -497,34 +498,32 @@ class TestViewMemo:
     def test_an_epoch_binds_its_parameters_once(self, small_spec, monkeypatch):
         # 600 rows at batch 32: 18 full batches and a tail of 24 rows.
         ds = gen_blobs(n_per_class=200, K=3, d=4, centers_scale=2.0, noise_sigma=0.5, seed=5)
-        learner, binds, checks, views = init_learner(small_spec, 0), [], [], []
+        learner, binds, checks, steps = init_learner(small_spec, 0), [], [], []
         bind, check, step = nn._Step.__init__, nn.check_labels, nn.loss_and_gradient
         monkeypatch.setattr(nn._Step, "__init__", lambda *args: binds.append(args[2]) or bind(*args))
         monkeypatch.setattr(nn, "check_labels", lambda *args: checks.append(args) or check(*args))
 
         def spy(*args, **kwargs):
             result = step(*args, **kwargs)
-            views.append((nn._scratch.epoch.n, nn._scratch.epoch.layers))
+            steps.append((kwargs["out"], kwargs["out"].n))
             return result
 
         monkeypatch.setattr(nn, "loss_and_gradient", spy)
         train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.1, 32), warmup_stream(small_spec, 0))
-        assert [n for n, _ in views] == [32] * 18 + [24]
+        assert [n for _, n in steps] == [32] * 18 + [24]
+        assert isinstance(steps[0][0], nn._Step) and all(out is steps[0][0] for out, _ in steps)
         assert len(binds) == 1 and binds[0] is learner.params and len(checks) == 1
-        assert all(layers is views[0][1] for _, layers in views)
-        assert nn._scratch.epoch is None
 
     def test_no_buffers_outlive_their_epoch_or_call(self, small_spec, small_blobs, monkeypatch):
-        built, rows = [], nn._Rows
+        built, use = [], nn._Step.use
 
-        def tracked(widths, n):
-            made = rows(widths, n)
-            built.append((n, weakref.ref(made)))
-            return made
+        def tracked(step, n):
+            built.append((n, weakref.ref(step)))
+            use(step, n)
 
-        monkeypatch.setattr(nn, "_Rows", tracked)
+        monkeypatch.setattr(nn._Step, "use", tracked)
         learner = init_learner(small_spec, 0)
-        # 600 rows at batch 32: a 32-row step and a 24-row step for the short last batch.
+        # 600 rows at batch 32: the epoch's step sizes its buffers for 32 rows, then for the 24-row last batch.
         ds = gen_blobs(n_per_class=200, K=3, d=4, centers_scale=2.0, noise_sigma=0.5, seed=5)
         train_epoch(learner, ds.X, ds.y, TrainHyperparams(0.1, 32), warmup_stream(small_spec, 0))
         loss_and_gradient(small_spec, learner.params, ds.X[:20], ds.y[:20], out=np.empty_like(learner.params))
@@ -545,11 +544,28 @@ class TestViewMemo:
         monkeypatch.setattr(nn, "loss_and_gradient", spy)
         with pytest.raises(RuntimeError, match="mid-epoch") if raises else contextlib.nullcontext():
             train_epoch(learner, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0))
-        assert nn._scratch.epoch is None
         X = small_blobs.X[: hp.batch_size]
         for labels in ([3] * len(X), [-1] * len(X), [1], 1, [0.5] * len(X)):
             with pytest.raises(ValueError, match="labels"):
-                step(small_spec, learner.params, X, labels, out=outs[-1])
+                step(small_spec, learner.params, X, labels, out=outs[-1].out)
+
+    @pytest.mark.parametrize("label", [-1, 3, 0.5, None], ids=["minus_one", "three", "half", "single"])
+    def test_an_epochs_buffer_is_checked_mid_epoch(self, small_spec, small_blobs, hp, monkeypatch, label):
+        learner, twin, step = init_learner(small_spec, 0), init_learner(small_spec, 0), nn.loss_and_gradient
+        X = small_blobs.X[: hp.batch_size]
+        labels = [1] if label is None else [label] * len(X)
+
+        def spy(*args, **kwargs):
+            loss, grad = step(*args, **kwargs)
+            with pytest.raises(ValueError, match="labels"):
+                step(small_spec, learner.params, X, labels, out=grad)
+            return loss, grad
+
+        expected = train_epoch(twin, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0))
+        monkeypatch.setattr(nn, "loss_and_gradient", spy)
+        # The refused calls write nothing: the epoch ends as it does without them.
+        assert train_epoch(learner, small_blobs.X, small_blobs.y, hp, warmup_stream(small_spec, 0)) == expected
+        assert np.array_equal(learner.params, twin.params)
 
     def test_wrong_shape_still_raises(self, small_spec, small_blobs):
         params = init_learner(small_spec, 0).params

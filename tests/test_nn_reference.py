@@ -122,7 +122,9 @@ def ref_ensemble_predict(learners, X):
 
 
 # At K >= 8 numpy sums the class axis pairwise, not left to right.
-WIDTHS = [(4, 5, 3), (10, 16, 3), (6, 8, 8, 4), (12, 16, 10)]
+# (4, 3) and (10, 4, 3) are shapes where a strided X makes numpy pick another
+# gemm kernel for the first layer's weight gradient.
+WIDTHS = [(4, 5, 3), (10, 16, 3), (6, 8, 8, 4), (12, 16, 10), (4, 3), (10, 4, 3)]
 
 
 def blobs_for(widths, seed):
@@ -264,6 +266,28 @@ def test_a_batch_that_is_not_a_contiguous_float64_array_after_a_remembered_call_
     ref_loss, ref_grad = ref_loss_and_gradient(spec, params, batch, ds.y[:17])
     assert grad is buf and loss == ref_loss
     assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda X: np.repeat(X, 2, axis=0)[::2],
+        lambda X: np.repeat(X, 2, axis=1)[:, ::2],
+        np.asfortranarray,
+    ],
+    ids=["row_strided", "column_strided", "fortran"],
+)
+def test_loss_and_gradient_do_not_depend_on_the_batch_layout(widths, layout):
+    ds = blobs_for(widths, seed=37)
+    spec = ModelSpec(layer_widths=widths, seed=5)
+    params = init_learner(spec, 2).params
+    batch = layout(ds.X[:17])
+    assert not batch.flags.c_contiguous
+    loss, grad = loss_and_gradient(spec, params, batch, ds.y[:17])
+    expected_loss, expected_grad = loss_and_gradient(spec, params, np.ascontiguousarray(batch), ds.y[:17])
+    assert loss == expected_loss
+    assert np.array_equal(grad, expected_grad)
 
 
 @pytest.mark.parametrize("n_learners", [1, 9])
