@@ -259,50 +259,41 @@ def _run_files(experiments: list[ExperimentConfig]) -> list[str]:
     return [*(f"run_{cfg.master_seed}.csv" for cfg in experiments), "agg.csv", "manifest.json"]
 
 
-def _run_seeds(
-    experiments: list[ExperimentConfig], datasets: tuple[Dataset, Dataset, Dataset] | None = None
-) -> tuple[list, AggregateSeries]:
-    """The records of each seed's run of a checked config, and their seed aggregate; writes nothing.
-    ``datasets`` may give the config's (train, val, test) already built and not yet corrupted."""
-    data = prepare_data(experiments[0], datasets)
-    runs = [run_experiment(cfg, data=data) for cfg in experiments]
-    return runs, aggregate_seeds(runs)
-
-
-def _write_run(
-    config: dict, out_dir: Path, experiments: list[ExperimentConfig], runs: list, agg: AggregateSeries
-) -> None:
-    """Write the output directory of a run that has finished: its CSVs and its manifest."""
-    manifest = {
-        "config": {k: v for k, v in config.items() if k != "out"},
-        "config_hash": config_hash(config),
-        "seeds": [cfg.master_seed for cfg in experiments],
-        "out_dir": str(out_dir),
-    }
-    texts = [*map(format_run_csv, runs), format_agg_csv(agg), json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in zip(_run_files(experiments), texts):
-        _write_atomic(out_dir / name, text)
-
-
-def execute_run(config: dict, out_dir: Path, experiments: list[ExperimentConfig]) -> AggregateSeries:
-    """Run the per-seed experiments of a checked config, write its output directory
-    and return the seed aggregate that ``agg.csv`` holds.
+def execute_run(
+    cells: list[tuple[Path, dict, list[ExperimentConfig]]], datasets: tuple[Dataset, Dataset, Dataset] | None = None
+) -> list[AggregateSeries]:
+    """Run the per-seed experiments of each ``(out_dir, config, experiments)`` cell of checked
+    configs, write each out_dir and return each cell's seed aggregate, the one ``agg.csv`` holds.
+    ``datasets`` may give the cells' (train, val, test) already built and not yet corrupted.
 
     An out_dir that cannot be made a directory, or that holds a directory
-    where a file will go, is refused before any seed trains. Every seed
-    runs, and the aggregate is built, before out_dir is created or written:
-    a run that fails leaves it as it was.
+    where a file will go, is refused before any seed trains. Every seed of
+    every cell runs, and every aggregate is built, before the first out_dir
+    is created or written: a failed seed leaves them all as they were.
     """
-    _check_out(out_dir, _run_files(experiments))
-    runs, agg = _run_seeds(experiments)
-    _write_run(config, out_dir, experiments, runs, agg)
-    return agg
+    for out_dir, _, experiments in cells:
+        _check_out(out_dir, _run_files(experiments))
+    results = []
+    for _, _, experiments in cells:
+        data = prepare_data(experiments[0], datasets)
+        runs = [run_experiment(cfg, data=data) for cfg in experiments]
+        results.append((runs, aggregate_seeds(runs)))
+    for (out_dir, config, experiments), (runs, agg) in zip(cells, results):
+        manifest = {
+            "config": {k: v for k, v in config.items() if k != "out"},
+            "config_hash": config_hash(config),
+            "seeds": [cfg.master_seed for cfg in experiments],
+            "out_dir": str(out_dir),
+        }
+        texts = [*map(format_run_csv, runs), format_agg_csv(agg), json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in zip(_run_files(experiments), texts):
+            _write_atomic(out_dir / name, text)
+    return [agg for _, agg in results]
 
 
-def cmd_run(config: dict) -> int:
-    out_dir = Path(config.get("out") or "out")
-    execute_run(config, out_dir, build_experiments(config))
+def cmd_run(config: dict, out_dir: Path) -> int:
+    execute_run([(out_dir, config, build_experiments(config))])
     print(f"wrote {out_dir}/run_<seed>.csv, agg.csv, manifest.json")
     return EXIT_OK
 
@@ -314,7 +305,7 @@ def _cell_name(policy: str, c: int, pretrain: bool, noise: float, random_labels:
     return tag + f"_noise{noise:g}"
 
 
-def cmd_sweep(config: dict) -> int:
+def cmd_sweep(config: dict, out_dir: Path) -> int:
     base = {k: v for k, v in config.items() if k not in SWEEP_AXES}
     grid = [config.get(axis, [config[key]]) for axis, key in SWEEP_AXES.items()]
     # Every cell is validated, and named apart, before the first one runs and writes.
@@ -324,7 +315,7 @@ def cmd_sweep(config: dict) -> int:
         cell = merge_config(base, values)
         name = _cell_name(cell["policy"], c, pretrain, noise, cell["random_labels"])
         try:
-            planned.append((name, cell, build_experiments(cell)))
+            planned.append((out_dir / name, cell, build_experiments(cell)))
         except ValueError as exc:
             print(f"skipping cell {name}: {exc}", file=sys.stderr)
             continue
@@ -334,20 +325,13 @@ def cmd_sweep(config: dict) -> int:
     if not planned:
         raise ConfigurationError("sweep produced no valid cells")
 
-    out_dir = Path(config.get("out") or "out")
     _check_out(out_dir, ["summary.csv"])
-    for name, _, experiments in planned:
-        _check_out(out_dir / name, _run_files(experiments))
-    # No axis changes the dataset, so it is built once; each cell applies its
-    # own label corruption to it. Every cell runs, and its aggregate is built,
-    # before the first write: a sweep that fails leaves out_dir as it was.
-    datasets = build_datasets(planned[0][2][0].dataset)
-    results = [_run_seeds(experiments, datasets) for _, _, experiments in planned]
+    # No axis changes the dataset, so it is built once; each cell applies its own label corruption to it.
+    aggs = execute_run(planned, build_datasets(planned[0][2][0].dataset))
     rows = []
-    for (name, cell, experiments), (runs, agg) in zip(planned, results):
-        _write_run(cell, out_dir / name, experiments, runs, agg)
+    for (cell_dir, cell, _), agg in zip(planned, aggs):
         alacc, ensacc = agg.mean["alacc_test"], agg.mean["ensacc_test"]
-        rows.append([name, cell["policy"], cell["c"], int(cell["pretrain"]), float(cell["noise"]),
+        rows.append([cell_dir.name, cell["policy"], cell["c"], int(cell["pretrain"]), float(cell["noise"]),
                      int(agg.rounds[-1]), alacc[-1], ensacc[-1], alacc.max(), ensacc.max()])
     _write_atomic(out_dir / "summary.csv", _csv(SUMMARY_CSV_COLUMNS, rows))
     print(f"wrote {out_dir}/summary.csv with {len(rows)} cells")
@@ -405,9 +389,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigurationError(f"flag --{key} and sweep axis {axis} both set {key}")
         config = merge_config(DEFAULT_CONFIG, file_config, flags)
         check_config(config, sweep=args.command == "sweep")
+        if config["out"] == "":
+            raise ConfigurationError("out must name a directory, got ''")
+        out_dir = Path(config["out"] or "out")
         if args.command == "run":
-            return cmd_run(config)
-        return cmd_sweep(config)
+            return cmd_run(config, out_dir)
+        return cmd_sweep(config, out_dir)
     except (IdxFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

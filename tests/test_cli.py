@@ -497,6 +497,10 @@ class TestSweep:
             assert csvs == ["agg.csv", "run_0.csv", "run_1.csv"]
             for name in csvs:
                 assert (cell / name).read_bytes() == (single / name).read_bytes()
+            cell_manifest, single_manifest = (json.loads((d / "manifest.json").read_text()) for d in (cell, single))
+            assert cell_manifest["out_dir"] == str(cell)
+            for key in ("config_hash", "seeds", "config"):
+                assert cell_manifest[key] == single_manifest[key]
 
     @pytest.mark.parametrize(
         "flag, value, axis, values",
@@ -779,6 +783,22 @@ class TestBadInputs:
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("via", ["flag", "key"])
+    def test_an_empty_out_is_refused(self, tmp_path, monkeypatch, capsys, command, via):
+        # An unset out writes to ./out, so an empty one falling back there could overwrite an earlier run.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        config = {"blobs": FAST_BLOBS, "rounds": 1, "seeds": 1, "n": 4}
+        if command == "sweep":
+            # The c=5 cells are skipped, which would print a line if the cells were planned first.
+            config.update(policies=["btb", "oo"], capacities=[2, 5])
+        path.write_text(json.dumps({**config, "out": ""} if via == "key" else config))
+        argv = [command, "--config", str(path), *(["--out", ""] if via == "flag" else [])]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: out must name a directory, got ''\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_integer_idx_paths_leave_stdout_open(self, tmp_path):
