@@ -162,9 +162,6 @@ def _make_plan(cfg: ExperimentConfig, pop: Population, val: Dataset, round_index
         return group_oo(cfg.n_models, cfg.capacity, stream("policy", cfg.master_seed, round_index))
     if cfg.policy == "pom":
         return group_pom(cfg.n_models, stream("policy", cfg.master_seed, round_index))
-    # Computes only before round 1: later rounds find the trainees' validation
-    # outputs in the memo, filled by the stacked pass after the previous round.
-    forward_stack(pop.trainees, val.X)
     scores = evaluate_validation(pop, val)
     if cfg.policy == "rgbt":
         return group_rgbt(scores, cfg.capacity, stream("policy", cfg.master_seed, round_index))

@@ -354,6 +354,16 @@ class TestRun:
         assert capsys.readouterr().err == f"i/o error: output file {out / name} is a directory\n"
         assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
 
+    def test_a_failed_replace_is_io_error_and_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main(fast_args(tmp_path)) == EXIT_IO
+        out = tmp_path / "out"
+        assert capsys.readouterr().err == f"i/o error: cannot replace {out / 'run_0.csv'}\n"
+        assert list(out.iterdir()) == []
+
     def test_a_symlink_to_a_directory_is_replaced_by_its_output_file(self, tmp_path):
         out, target = tmp_path / "out", tmp_path / "target"
         target.mkdir()
@@ -741,6 +751,9 @@ class TestBadInputs:
             ("run", {"master_seed": 2**63 - 1, "seeds": 2},
              "master_seed + seeds - 1 must be at most 2**63 - 1, got 9223372036854775807 + 2 - 1"),
             ("run", {"master_seed": -1}, "master_seed must be a non-negative 64-bit integer, got -1"),
+            ("run", {"dataset": "csv"}, "unknown dataset 'csv', expected blobs or idx"),
+            ("run", {"seeds": 0}, "seeds must be at least 1"),
+            ("run", {"noise": 0.3, "random_labels": True}, "noise and random_labels are mutually exclusive"),
         ],
         ids=[
             "blobs_n_per_class_float",
@@ -773,6 +786,9 @@ class TestBadInputs:
             "noise_seed_negative",
             "second_master_seed_beyond_int64",
             "master_seed_negative",
+            "dataset_unknown",
+            "seeds_zero",
+            "noise_with_random_labels",
         ],
     )
     def test_exits_2_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys, command, bad, named):
@@ -784,6 +800,19 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("text", [None, "[1, 2]"], ids=["unreadable", "top_level_list"])
+    def test_a_config_file_that_is_not_an_object_exits_2_without_output(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        if text is None:
+            message = f"cannot read config {path}: [Errno 2] No such file or directory: '{path}'"
+        else:
+            path.write_text(text)
+            message = f"{path}: top level must be an object"
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == ([] if text is None else [path])
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("via", ["flag", "key"])

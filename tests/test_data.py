@@ -74,6 +74,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 2]), K=2)
 
+    def test_features_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"^X must be 2-D, got shape \(3,\)$"):
+            Dataset(X=np.zeros(3), y=np.array([0, 1, 0]), K=2)
+
+    def test_one_class_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 classes$"):
+            Dataset(X=np.zeros((3, 2)), y=np.zeros(3, dtype=int), K=1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         X = np.zeros((3, 2))
@@ -140,6 +148,10 @@ class TestSpecTypes:
         assert spec.seed == 1
         # Paths are stored as strings, as their str annotation says.
         assert [getattr(spec, name) for name in IDX_NAMES] == list(IDX_NAMES.values())
+
+    def test_an_unknown_dataset_spec_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown dataset spec object$"):
+            build_datasets(object())
 
 
 LABEL_X = np.random.default_rng(0).standard_normal((4, 3))
@@ -376,6 +388,14 @@ class TestCorruptLabels:
         with pytest.raises(ValueError):
             CorruptionSpec(fraction=-0.1)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^mode must be one of \('uniform_replace', 'full_random'\), got 'swap'$"):
+            CorruptionSpec(fraction=0.5, mode="swap")
+
+    def test_index_fraction_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^fraction must lie in \[0, 1\], got 1.5$"):
+            corruption_indices(10, 1.5, 0)
+
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.999])
     def test_full_random_needs_fraction_one(self, fraction):
         # full_random ignores fraction and redraws every label; anything but 1.0 is a misuse.
@@ -492,3 +512,9 @@ class TestIdx:
         expected = pixels.reshape(100, 15).astype(np.float64) / 255.0
         assert np.array_equal(ds.X, expected)
         assert np.array_equal(ds.y, labels)
+
+    def test_write_refuses_images_that_are_not_uint8(self, tmp_path):
+        message = r"^images must be uint8 of shape \(n, rows, cols\), got float64 \(2, 3, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            write_idx(tmp_path / "img.idx", tmp_path / "lab.idx", np.zeros((2, 3, 3)), np.array([0, 1]))
+        assert not any(tmp_path.iterdir())

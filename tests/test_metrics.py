@@ -117,6 +117,10 @@ class TestEnsemblePredict:
         learner = make_learner(seed=7)
         assert accuracy([learner, learner, learner], blobs) == accuracy(learner, blobs)
 
+    def test_empty_ensemble_rejected(self, blobs):
+        with pytest.raises(ValueError, match="^ensemble needs at least one member$"):
+            ensemble_predict([], blobs.X)
+
 
 def cyclic_label_shift(learner):
     """A twin whose argmax is always one class off the original's."""
@@ -153,6 +157,11 @@ class TestDisagreement:
         both, either = disagreement_stats(a, b, rigged)
         assert both == 0
         assert either == len(rigged)
+
+    def test_empty_dataset_rejected(self, blobs):
+        empty = blobs.take(np.array([], dtype=int), "test")
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            disagreement_stats(make_learner(seed=1), make_learner(seed=2), empty)
 
 
 def record(round, value):
@@ -192,6 +201,10 @@ class TestAggregateSeeds:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
             aggregate_seeds([[record(1, 0.5)], [record(1, 0.5), record(2, 0.5)]])
+
+    def test_runs_numbering_rounds_differently_rejected(self):
+        with pytest.raises(ValueError, match="^runs disagree on round numbering$"):
+            aggregate_seeds([[record(1, 0.5), record(2, 0.5)], [record(1, 0.5), record(3, 0.5)]])
 
     def test_single_run_is_its_own_mean(self):
         run = [record(1, 0.3), record(2, 0.7)]

@@ -24,6 +24,7 @@ from nkdiff import (
     PROB_FLOOR,
     TrainHyperparams,
     forward_batch,
+    forward_stack,
     gen_blobs,
     init_learner,
     loss_and_gradient,
@@ -168,6 +169,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_batch(learner, np.ones((3, 7)))
 
+    def test_stack_of_no_learners_is_empty(self):
+        assert forward_stack([], np.ones((3, 4))) == []
+
+    def test_stack_of_different_widths_rejected(self, small_spec):
+        learners = [init_learner(small_spec, 0), init_learner(ModelSpec(layer_widths=(4, 6, 3), seed=11), 1)]
+        with pytest.raises(ValueError, match="^stacked learners must share their layer widths$"):
+            forward_stack(learners, np.ones((3, 4)))
+
     def test_matches_naive_reimplementation(self):
         rng = np.random.default_rng(42)
         for trial in range(25):
@@ -284,7 +293,7 @@ class TestForwardMemo:
             forward_batch(learner, ds.X)
             pseudolabels(learner, ds.X)
         assert len(count_forwards) == 1
-        assert [k for k in learner._memo if k not in ("spec", "params")] == [id(ds.X)]
+        assert [k for k in learner._memo if k != "params"] == [id(ds.X)]
 
     def test_a_sign_flipped_zero_recomputes(self, small_spec, small_blobs, count_forwards):
         # The memo is keyed on parameter bytes: -0.0 equals 0.0 by value, not by bits.
@@ -358,6 +367,11 @@ class TestTrainEpoch:
         learner = init_learner(small_spec, 0)
         with pytest.raises(ValueError):
             train_epoch(learner, small_blobs.X, small_blobs.y, TrainHyperparams(0.1, 1000), warmup_stream(small_spec, 0))
+
+    def test_empty_training_set_rejected(self, small_spec, hp):
+        learner = init_learner(small_spec, 0)
+        with pytest.raises(ValueError, match="^training set is empty$"):
+            train_epoch(learner, np.empty((0, 4)), np.empty(0, dtype=int), hp, warmup_stream(small_spec, 0))
 
     @pytest.mark.parametrize(
         "relabel", [lambda y: -1 - y, lambda y: y + 3], ids=["negative", "at_least_K"]

@@ -79,6 +79,13 @@ class TestInitPopulation:
         with pytest.raises(ValueError, match="the last learner"):
             Population([init_learner(spec, 0), init_learner(spec, 1)])
 
+    def test_ids_out_of_order_rejected(self, blob_task):
+        train, _ = blob_task
+        spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
+        learners = [init_learner(spec, 1), init_learner(spec, 0), Oracle(2, train.y)]
+        with pytest.raises(ValueError, match=r"^learner ids must be 0\.\.N-1 in order$"):
+            Population(learners)
+
     def test_the_learner_holding_labels_is_the_oracle(self, blob_task):
         train, _ = blob_task
         spec = ModelSpec(layer_widths=(train.n_features, 6, train.K), seed=0)
